@@ -19,16 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from prelie2 import crossed_modules, fixtures, o_operators, prelie2_core  # noqa: E402
-from prelie2.fileio import (  # noqa: E402
-    StructureFile,
-    file_from_cochain,
-    file_from_crossed_module,
-    file_from_o_operator,
-    file_from_prelie,
-    file_from_prelie2,
-    file_from_rep,
-    serialize_document,
-)
+from prelie2.fileio import StructureFile, file_from, serialize_document  # noqa: E402
 from prelie2.prelie_base import (  # noqa: E402
     Cochain,
     invariant_forms,
@@ -53,7 +44,7 @@ def main() -> int:
 
     a = fixtures.fix_a()
     emit(
-        file_from_prelie(a, "FIX-A", "dim 2; e1*e1=e1, e1*e2=e2; validated exactly"),
+        file_from("prelie", a, "FIX-A", "dim 2; e1*e1=e1, e1*e2=e2; validated exactly"),
         "fix_a.json",
         t,
     )
@@ -61,8 +52,8 @@ def main() -> int:
 
     b = fixtures.fix_b()
     emit(
-        file_from_prelie2(
-            b, "FIX-B", "strict; ideal span{e2} of FIX-A, inclusion differential"
+        file_from(
+            "prelie2", b, "FIX-B", "strict; ideal span{e2} of FIX-A, inclusion differential"
         ),
         "fix_b.json",
         t,
@@ -76,7 +67,8 @@ def main() -> int:
     )
     om = fixtures.fix_omega()
     emit(
-        file_from_prelie2(
+        file_from(
+            "prelie2",
             om,
             "FIX-OMEGA",
             "skeletal; mirror algebra (e1*e1=e1, e2*e1=e2) with the solved skew "
@@ -87,24 +79,26 @@ def main() -> int:
     )
 
     emit(
-        file_from_prelie2(fixtures.fix_c(), "FIX-C", "skeletal; FIX-A on itself (left/right)"),
+        file_from("prelie2", fixtures.fix_c(), "FIX-C", "skeletal; FIX-A on itself (left/right)"),
         "fix_c.json",
         t,
     )
     emit(
-        file_from_prelie2(fixtures.fix_d(), "FIX-D", "skeletal; FIX-A on its dual"),
+        file_from("prelie2", fixtures.fix_d(), "FIX-D", "skeletal; FIX-A on its dual"),
         "fix_d.json",
         t,
     )
     emit(
-        file_from_prelie2(fixtures.fix_e(), "FIX-E", "strict; ideal span{e2} of the mirror algebra"),
+        file_from(
+            "prelie2", fixtures.fix_e(), "FIX-E", "strict; ideal span{e2} of the mirror algebra"
+        ),
         "fix_e.json",
         t,
     )
 
     cm = fixtures.fix_b_crossed_module()
     emit(
-        file_from_crossed_module(cm, "FIX-B", "ideal example as a crossed module"),
+        file_from("crossed_module", cm, "FIX-B", "ideal example as a crossed module"),
         "fix_cm.json",
         t,
     )
@@ -112,7 +106,7 @@ def main() -> int:
     ctx = fixtures.fix_b_context()
     tid = fixtures.o_identity(ctx)
     emit(
-        file_from_o_operator(tid, "O-ID", "identity triple on the FIX-B context"),
+        file_from("o_operator", tid, "O-ID", "identity triple on the FIX-B context"),
         "fix_o_id.json",
         t,
     )
@@ -133,47 +127,44 @@ def main() -> int:
         for c in found
     ), "frozen operator not found by the search"
     emit(
-        file_from_o_operator(frozen, "O-N", "frozen from the exhaustive search"),
+        file_from("o_operator", frozen, "O-N", "frozen from the exhaustive search"),
         "fix_o_n.json",
         t,
     )
 
     reps = standard_reps(a)
     emit(
-        file_from_rep(a, reps["left"], "FIX-A-left", "regular representation"),
+        file_from("rep", (a, reps["left"]), "FIX-A-left", "regular representation"),
         "fix_rep_left.json",
         t,
     )
     emit(
-        file_from_rep(a, reps["dual"], "FIX-A-dual", "dual regular representation"),
+        file_from("rep", (a, reps["dual"]), "FIX-A-dual", "dual regular representation"),
         "fix_rep_dual.json",
         t,
     )
 
     phi = Cochain(3, om.l3)
     emit(
-        file_from_cochain(phi, "FIX-OMEGA-cocycle", "the induced 3-cocycle"),
+        file_from("cochain", phi, "FIX-OMEGA-cocycle", "the induced 3-cocycle"),
         "fix_cochain.json",
         t,
     )
 
     from prelie2 import lie2_core, ybe
-    from prelie2.fileio import file_from_lie2, file_from_rmatrix
 
     r, frkr, dbl = ybe.canonical_solution(b)
     gr = ybe.graded_cybe_check(r, frkr, dbl)
     assert gr.ok
     emit(
-        file_from_lie2(dbl, "FIX-B-double", "the semidirect double of FIX-B"),
+        file_from("lie2", dbl, "FIX-B-double", "the semidirect double of FIX-B"),
         "fix_double.json",
         t,
     )
     emit(
-        file_from_rmatrix(
-            dbl.g0.dim,
-            dbl.g1.dim,
-            r.coeffs,
-            frkr,
+        file_from(
+            "rmatrix",
+            {"g0": dbl.g0.dim, "g1": dbl.g1.dim, "r": r.coeffs, "frkr": frkr},
             "FIX-B-solution",
             "canonical identity-operator solution in the double",
         ),
@@ -184,7 +175,7 @@ def main() -> int:
     # mutants: single constants changed so a named condition genuinely breaks
     t.append("")
     t.append("## Mutants (each verified to fail with the recorded conditions)")
-    bad_a = file_from_prelie(fixtures.fix_a_bad(), "FIX-A-mutant", "e2*e1=e1 added")
+    bad_a = file_from("prelie", fixtures.fix_a_bad(), "FIX-A-mutant", "e2*e1=e1 added")
     rep = validate_prelie(fixtures.fix_a_bad())
     assert not rep.ok
     emit(bad_a, "mutants/fix_a_mutant.json", t)
@@ -201,7 +192,7 @@ def main() -> int:
     rep = prelie2_core.validate(b_bad)
     assert not rep.ok
     emit(
-        file_from_prelie2(b_bad, "FIX-B-mutant", "mul01[e1,f1] bumped by 1"),
+        file_from("prelie2", b_bad, "FIX-B-mutant", "mul01[e1,f1] bumped by 1"),
         "mutants/fix_b_mutant.json",
         t,
     )

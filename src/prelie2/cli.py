@@ -1,8 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 = valid / all checks pass, 1 = a mathematical violation,
-2 = I/O or schema problem.  Set PRELIE2_WORKERS to fan condition families
-out across threads during validation.
+2 = I/O or schema problem.
 """
 
 from __future__ import annotations
@@ -15,10 +14,7 @@ from . import categorical, crossed_modules, lie2_core, o_operators, prelie2_core
 from .fileio import (
     SchemaError,
     StructureFile,
-    file_from_crossed_module,
-    file_from_lie2,
-    file_from_prelie2,
-    file_from_rmatrix,
+    file_from,
     read_file,
     write_file,
 )
@@ -114,15 +110,15 @@ def _construct(sf: StructureFile, target: str) -> StructureFile:
     if target == "lie2":
         g, _rep = lie2_core.from_prelie2(sf.structure())
         _reverify(lie2_core.validate(g), "constructed 2-algebra")
-        return file_from_lie2(g, **meta)
+        return file_from("lie2", g, **meta)
     if target == "crossed-module":
         cm = crossed_modules.from_strict_prelie2(sf.structure())
         _reverify(crossed_modules.validate_cm(cm), "constructed crossed module")
-        return file_from_crossed_module(cm, **meta)
+        return file_from("crossed_module", cm, **meta)
     if target == "prelie2":
         a = crossed_modules.to_strict_prelie2(sf.structure())
         _reverify(prelie2_core.validate(a), "constructed structure")
-        return file_from_prelie2(a, **meta)
+        return file_from("prelie2", a, **meta)
     if target == "skeletal":
         algebra = sf.structure()
         forms = invariant_forms(algebra)
@@ -134,7 +130,7 @@ def _construct(sf: StructureFile, target: str) -> StructureFile:
             )
         built = skeletal_from_form(algebra, nonzero[0])
         _reverify(prelie2_core.validate(built), "constructed skeletal structure")
-        return file_from_prelie2(built, **meta)
+        return file_from("prelie2", built, **meta)
     if target == "double":
         if sf.kind == "prelie":
             algebra = sf.structure()
@@ -142,10 +138,10 @@ def _construct(sf: StructureFile, target: str) -> StructureFile:
             rep = LieRep(algebra.space, standard_reps(algebra)["left"].rho)
             lifted = _lie_as_lie2(ybe.double_lie_algebra(g, rep))
             _reverify(lie2_core.validate(lifted), "constructed double")
-            return file_from_lie2(lifted, **meta)
+            return file_from("lie2", lifted, **meta)
         _r, _frkr, dbl = ybe.canonical_solution(sf.structure())
         _reverify(lie2_core.validate(dbl), "constructed double")
-        return file_from_lie2(dbl, **meta)
+        return file_from("lie2", dbl, **meta)
     if target == "cybe-solution":
         if sf.kind == "prelie":
             algebra = sf.structure()
@@ -153,8 +149,8 @@ def _construct(sf: StructureFile, target: str) -> StructureFile:
             rep = LieRep(algebra.space, standard_reps(algebra)["left"].rho)
             r = o_operator_to_r(MultiMap.identity(algebra.space), g, rep)
             _reverify_cybe(cybe_check(r), "constructed r-matrix")
-            n = algebra.space.dim
-            return file_from_rmatrix(2 * n, 0, r.coeffs, None, **meta)
+            rmatrix = {"g0": 2 * algebra.space.dim, "g1": 0, "r": r.coeffs, "frkr": None}
+            return file_from("rmatrix", rmatrix, **meta)
         r, frkr, dbl = ybe.canonical_solution(sf.structure())
         gr = graded_cybe_check(r, frkr, dbl)
         if not gr.ok:
@@ -162,7 +158,8 @@ def _construct(sf: StructureFile, target: str) -> StructureFile:
                 "constructed solution fails the graded check",
                 ValidationReport(gr.witnesses),
             )
-        return file_from_rmatrix(dbl.g0.dim, dbl.g1.dim, r.coeffs, frkr, **meta)
+        rmatrix = {"g0": dbl.g0.dim, "g1": dbl.g1.dim, "r": r.coeffs, "frkr": frkr}
+        return file_from("rmatrix", rmatrix, **meta)
     if target == "end-algebra":
         structure = sf.structure()
         if sf.kind == "prelie2":
@@ -171,12 +168,12 @@ def _construct(sf: StructureFile, target: str) -> StructureFile:
             complex_ = TwoTermComplex(structure.g0, structure.g1, structure.dk)
         end = end_algebra(complex_)
         _reverify(lie2_core.validate(end.lie2), "constructed endomorphism algebra")
-        return file_from_lie2(end.lie2, **meta)
+        return file_from("lie2", end.lie2, **meta)
     if target == "semidirect-lie":
         flat = lie2_core.semidirect_lie_algebra(sf.structure())
         lifted = _lie_as_lie2(flat)
         _reverify(lie2_core.validate(lifted), "constructed semidirect algebra")
-        return file_from_lie2(lifted, **meta)
+        return file_from("lie2", lifted, **meta)
     raise SchemaError(f"unknown construct target: {target}")
 
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iter_product
 
-from fractions import Fraction
-
 from .prelie_base import (
     LieAlgebra,
     PreLieAlgebra,
@@ -27,6 +25,8 @@ from .scalar_tensor import (
     MultiMap,
     Space,
     basis_vector,
+    block_multimap,
+    direct_sum,
     ml_apply,
     vec_add,
     vec_is_zero,
@@ -233,24 +233,19 @@ def direct_sum_prelie(cm: PreLieCrossedModule) -> PreLieAlgebra:
     rep = validate_cm(cm)
     if not rep.ok:
         raise InvalidStructureError("direct_sum_prelie needs a valid crossed module", rep)
-    n0, n1 = cm.a0alg.space.dim, cm.a1alg.space.dim
-    total = Space(n0 + n1, f"{cm.a0alg.space.label}(+){cm.a1alg.space.label}")
-
-    def z(n):
-        return (Fraction(0),) * n
-
-    def prod(i, j):
-        ki = ("0", i) if i < n0 else ("1", i - n0)
-        kj = ("0", j) if j < n0 else ("1", j - n0)
-        if ki[0] == "0" and kj[0] == "0":
-            return tuple(cm.a0alg.mul.image_of_basis(ki[1], kj[1])) + z(n1)
-        if ki[0] == "0" and kj[0] == "1":
-            return z(n0) + tuple(cm.rho.image_of_basis(ki[1], kj[1]))
-        if ki[0] == "1" and kj[0] == "0":
-            return z(n0) + tuple(cm.mu.image_of_basis(kj[1], ki[1]))
-        return z(n0) + tuple(cm.a1alg.mul.image_of_basis(ki[1], kj[1]))
-
-    return PreLieAlgebra(total, MultiMap.build((total, total), total, prod))
+    a0, a1 = cm.a0alg.space, cm.a1alg.space
+    total = direct_sum(f"{a0.label}(+){a1.label}", a0, a1)
+    prod = block_multimap(
+        (total, total),
+        total,
+        {
+            (0, 0): (0, cm.a0alg.mul.image_of_basis),
+            (0, 1): (1, cm.rho.image_of_basis),
+            (1, 0): (1, lambda p, i: cm.mu.image_of_basis(i, p)),
+            (1, 1): (1, cm.a1alg.mul.image_of_basis),
+        },
+    )
+    return PreLieAlgebra(total.space, prod)
 
 
 def sub_adjacent_crossed(cm: PreLieCrossedModule) -> LieCrossedModule:

@@ -27,17 +27,6 @@ from .scalar_tensor import (
     parse_rational,
 )
 
-KINDS = (
-    "prelie",
-    "prelie2",
-    "lie2",
-    "crossed_module",
-    "o_operator",
-    "rmatrix",
-    "rep",
-    "cochain",
-)
-
 
 class SchemaError(ValueError):
     """Malformed document: bad JSON, wrong shapes, or bad rationals."""
@@ -52,7 +41,12 @@ class StructureFile:
     provenance: str = ""
 
     def structure(self):
-        return _BUILDERS[self.kind](self)
+        spaces = {key: Space(dim, key) for key, dim in self.dims.items()}
+        maps = {}
+        for name, node in self.tensors.items():
+            *inputs, output = _slot_spaces(self.kind, name, self.dims)
+            maps[name] = MultiMap(tuple(inputs), output, tuple(_flatten(node)))
+        return _CONSTRUCTORS[self.kind](spaces, maps)
 
 
 def _flatten(node) -> list[Fraction]:
@@ -96,61 +90,71 @@ def _emit_rationals(node):
     return format_rational(node)
 
 
-_SCHEMAS: dict[str, dict[str, tuple[str, ...]]] = {
-    "prelie": {"mul": ("a", "a", "a")},
-    "prelie2": {
-        "dm": ("a1", "a0"),
-        "mul00": ("a0", "a0", "a0"),
-        "mul01": ("a0", "a1", "a1"),
-        "mul10": ("a1", "a0", "a1"),
-        "l3": ("a0", "a0", "a0", "a1"),
-    },
-    "lie2": {
-        "dk": ("g1", "g0"),
-        "l2_00": ("g0", "g0", "g0"),
-        "l2_01": ("g0", "g1", "g1"),
-        "l3": ("g0", "g0", "g0", "g1"),
-    },
-    "crossed_module": {
-        "mul0": ("a0", "a0", "a0"),
-        "mul1": ("a1", "a1", "a1"),
-        "dm": ("a1", "a0"),
-        "rho": ("a0", "a1", "a1"),
-        "mu": ("a0", "a1", "a1"),
-    },
-    "o_operator": {
-        "dk": ("g1", "g0"),
-        "l2_00": ("g0", "g0", "g0"),
-        "l2_01": ("g0", "g1", "g1"),
-        "l3": ("g0", "g0", "g0", "g1"),
-        "dm": ("v1", "v0"),
-        "rho0_0": ("g0", "v0", "v0"),
-        "rho0_1": ("g0", "v1", "v1"),
-        "rho1": ("g1", "v0", "v1"),
-        "rho2": ("g0", "g0", "v0", "v1"),
-        "t0": ("v0", "g0"),
-        "t1": ("v1", "g1"),
-        "t2": ("v0", "v0", "g1"),
-    },
-    "rmatrix": {"r": ("n", "n"), "frkr": ("g1", "g1")},
-    "rep": {
-        "mul": ("a", "a", "a"),
-        "rho": ("a", "v", "v"),
-        "mu": ("a", "v", "v"),
-    },
-    "cochain": {},  # shape depends on the arity; handled specially
+# kind -> tensor name -> (where the structure keeps it, its slots: the inputs,
+# then the output).  A slot names a dims key; "g0+g1" is the direct sum.
+_LIE2 = {
+    "dk": ("dk", ("g1", "g0")),
+    "l2_00": ("l2_00", ("g0", "g0", "g0")),
+    "l2_01": ("l2_01", ("g0", "g1", "g1")),
+    "l3": ("l3", ("g0", "g0", "g0", "g1")),
 }
 
-_DIM_KEYS: dict[str, tuple[str, ...]] = {
-    "prelie": ("a",),
-    "prelie2": ("a0", "a1"),
-    "lie2": ("g0", "g1"),
-    "crossed_module": ("a0", "a1"),
-    "o_operator": ("g0", "g1", "v0", "v1"),
-    "rmatrix": ("g0", "g1"),
-    "rep": ("a", "v"),
-    "cochain": ("a", "v", "arity"),
+_SCHEMAS: dict[str, dict[str, tuple[str, tuple[str, ...]]]] = {
+    "prelie": {"mul": ("mul", ("a", "a", "a"))},
+    "prelie2": {
+        "dm": ("dm", ("a1", "a0")),
+        "mul00": ("mul00", ("a0", "a0", "a0")),
+        "mul01": ("mul01", ("a0", "a1", "a1")),
+        "mul10": ("mul10", ("a1", "a0", "a1")),
+        "l3": ("l3", ("a0", "a0", "a0", "a1")),
+    },
+    "lie2": _LIE2,
+    "crossed_module": {
+        "mul0": ("a0alg.mul", ("a0", "a0", "a0")),
+        "mul1": ("a1alg.mul", ("a1", "a1", "a1")),
+        "dm": ("dm", ("a1", "a0")),
+        "rho": ("rho", ("a0", "a1", "a1")),
+        "mu": ("mu", ("a0", "a1", "a1")),
+    },
+    "o_operator": {
+        **{name: ("context.algebra." + path, slots) for name, (path, slots) in _LIE2.items()},
+        "dm": ("context.complex.dm", ("v1", "v0")),
+        "rho0_0": ("context.rep.rho0_0", ("g0", "v0", "v0")),
+        "rho0_1": ("context.rep.rho0_1", ("g0", "v1", "v1")),
+        "rho1": ("context.rep.rho1", ("g1", "v0", "v1")),
+        "rho2": ("context.rep.rho2", ("g0", "g0", "v0", "v1")),
+        "t0": ("t0", ("v0", "g0")),
+        "t1": ("t1", ("v1", "g1")),
+        "t2": ("t2", ("v0", "v0", "g1")),
+    },
+    "rmatrix": {"r": ("r", ("g0+g1", "g0+g1")), "frkr": ("frkr", ("g1", "g1"))},
+    "rep": {
+        "mul": ("0.mul", ("a", "a", "a")),
+        "rho": ("1.rho", ("a", "v", "v")),
+        "mu": ("1.mu", ("a", "v", "v")),
+    },
+    "cochain": {"map": ("map", ("a", "v"))},  # one "a" slot per unit of dims.arity
 }
+
+KINDS = tuple(_SCHEMAS)
+
+
+def _dim_keys(kind: str) -> list[str]:
+    slots = [slot for _, slot_keys in _SCHEMAS[kind].values() for slot in slot_keys]
+    keys = sorted({k for slot in slots for k in slot.split("+")})
+    return keys + ["arity"] if kind == "cochain" else keys
+
+
+def _slot_keys(kind: str, name: str, dims: dict[str, int]) -> tuple[str, ...]:
+    if kind == "cochain":
+        return ("a",) * dims["arity"] + ("v",)
+    return _SCHEMAS[kind][name][1]
+
+
+def _slot_spaces(kind: str, name: str, dims: dict[str, int]) -> tuple[Space, ...]:
+    return tuple(
+        Space(sum(dims[k] for k in slot.split("+")), slot) for slot in _slot_keys(kind, name, dims)
+    )
 
 
 def parse_document(text: str) -> StructureFile:
@@ -166,10 +170,11 @@ def parse_document(text: str) -> StructureFile:
     dims = doc.get("dims")
     if not isinstance(dims, dict):
         raise SchemaError("missing dims object")
-    for key in _DIM_KEYS[kind]:
-        if key not in dims or not isinstance(dims[key], int) or dims[key] < 0:
+    keys = _dim_keys(kind)
+    for key in keys:
+        if type(dims.get(key)) is not int or dims[key] < 0:  # bool is not a dimension
             raise SchemaError(f"dims.{key} must be a non-negative integer")
-    extra = set(dims) - set(_DIM_KEYS[kind])
+    extra = set(dims) - set(keys)
     if extra:
         raise SchemaError(f"unexpected dims keys: {sorted(extra)}")
     raw_tensors = doc.get("tensors")
@@ -188,30 +193,16 @@ def parse_document(text: str) -> StructureFile:
     return sf
 
 
-def _shape_of(kind: str, name: str, dims: dict[str, int]) -> tuple[int, ...]:
-    if kind == "cochain" and name == "map":
-        return (dims["a"],) * dims["arity"] + (dims["v"],)
-    if kind == "rmatrix" and name == "r":
-        n = dims["g0"] + dims["g1"]
-        return (n, n)
-    return tuple(dims[k] for k in _SCHEMAS[kind][name])
-
-
 def _validate_shapes(sf: StructureFile):
-    if sf.kind == "cochain":
-        expected = {"map"}
-    else:
-        expected = set(_SCHEMAS[sf.kind])
-        if sf.kind == "rmatrix":
-            expected = {"r"}  # frkr optional
+    schema = _SCHEMAS[sf.kind]
+    expected = set(schema) - ({"frkr"} if sf.kind == "rmatrix" else set())  # frkr optional
     names = set(sf.tensors)
     if not expected <= names:
         raise SchemaError(f"missing tensors: {sorted(expected - names)}")
-    allowed = expected | ({"frkr"} if sf.kind == "rmatrix" else set())
-    if not names <= allowed:
-        raise SchemaError(f"unexpected tensors: {sorted(names - allowed)}")
+    if not names <= set(schema):
+        raise SchemaError(f"unexpected tensors: {sorted(names - set(schema))}")
     for name in sorted(names):
-        shape = _shape_of(sf.kind, name, sf.dims)
+        shape = tuple(sp.dim for sp in _slot_spaces(sf.kind, name, sf.dims))
         _check_shape_or_empty(sf.tensors[name], shape, f"tensors.{name}")
 
 
@@ -261,234 +252,63 @@ def write_file(path, sf: StructureFile):
 # -- structure <-> file ---------------------------------------------------------
 
 
-def _mm(sf: StructureFile, name: str, inputs: tuple[Space, ...], output: Space) -> MultiMap:
-    flat = _flatten(sf.tensors[name])
-    return MultiMap(inputs, output, tuple(flat))
+def _lie2(s, m) -> Lie2Algebra:
+    return Lie2Algebra(s["g0"], s["g1"], m["dk"], m["l2_00"], m["l2_01"], m["l3"])
 
 
-def _build_prelie(sf: StructureFile) -> PreLieAlgebra:
-    a = Space(sf.dims["a"], "a")
-    return PreLieAlgebra(a, _mm(sf, "mul", (a, a), a))
+def _o_operator(s, m) -> OOperator:
+    complex_ = TwoTermComplex(s["v0"], s["v1"], m["dm"])
+    rep = Lie2Rep(complex_, m["rho0_0"], m["rho0_1"], m["rho1"], m["rho2"])
+    return OOperator(OOperatorContext(_lie2(s, m), rep), m["t0"], m["t1"], m["t2"])
 
 
-def _build_prelie2(sf: StructureFile) -> PreLie2Algebra:
-    a0, a1 = Space(sf.dims["a0"], "a0"), Space(sf.dims["a1"], "a1")
-    return PreLie2Algebra(
-        a0,
-        a1,
-        _mm(sf, "dm", (a1,), a0),
-        _mm(sf, "mul00", (a0, a0), a0),
-        _mm(sf, "mul01", (a0, a1), a1),
-        _mm(sf, "mul10", (a1, a0), a1),
-        _mm(sf, "l3", (a0, a0, a0), a1),
-    )
+def _rows(m: MultiMap) -> tuple:
+    return tuple(m.image_of_basis(i) for i in range(m.inputs[0].dim))
 
 
-def _build_lie2(sf: StructureFile) -> Lie2Algebra:
-    g0, g1 = Space(sf.dims["g0"], "g0"), Space(sf.dims["g1"], "g1")
-    return Lie2Algebra(
-        g0,
-        g1,
-        _mm(sf, "dk", (g1,), g0),
-        _mm(sf, "l2_00", (g0, g0), g0),
-        _mm(sf, "l2_01", (g0, g1), g1),
-        _mm(sf, "l3", (g0, g0, g0), g1),
-    )
-
-
-def _build_crossed_module(sf: StructureFile) -> PreLieCrossedModule:
-    a0, a1 = Space(sf.dims["a0"], "a0"), Space(sf.dims["a1"], "a1")
-    return PreLieCrossedModule(
-        PreLieAlgebra(a0, _mm(sf, "mul0", (a0, a0), a0)),
-        PreLieAlgebra(a1, _mm(sf, "mul1", (a1, a1), a1)),
-        _mm(sf, "dm", (a1,), a0),
-        _mm(sf, "rho", (a0, a1), a1),
-        _mm(sf, "mu", (a0, a1), a1),
-    )
-
-
-def _build_o_operator(sf: StructureFile) -> OOperator:
-    g0, g1 = Space(sf.dims["g0"], "g0"), Space(sf.dims["g1"], "g1")
-    v0, v1 = Space(sf.dims["v0"], "v0"), Space(sf.dims["v1"], "v1")
-    algebra = Lie2Algebra(
-        g0,
-        g1,
-        _mm(sf, "dk", (g1,), g0),
-        _mm(sf, "l2_00", (g0, g0), g0),
-        _mm(sf, "l2_01", (g0, g1), g1),
-        _mm(sf, "l3", (g0, g0, g0), g1),
-    )
-    complex_ = TwoTermComplex(v0, v1, _mm(sf, "dm", (v1,), v0))
-    rep = Lie2Rep(
-        complex_,
-        _mm(sf, "rho0_0", (g0, v0), v0),
-        _mm(sf, "rho0_1", (g0, v1), v1),
-        _mm(sf, "rho1", (g1, v0), v1),
-        _mm(sf, "rho2", (g0, g0, v0), v1),
-    )
-    return OOperator(
-        OOperatorContext(algebra, rep),
-        _mm(sf, "t0", (v0,), g0),
-        _mm(sf, "t1", (v1,), g1),
-        _mm(sf, "t2", (v0, v0), g1),
-    )
-
-
-def _build_rep(sf: StructureFile) -> tuple[PreLieAlgebra, PreLieRep]:
-    a, v = Space(sf.dims["a"], "a"), Space(sf.dims["v"], "v")
-    return (
-        PreLieAlgebra(a, _mm(sf, "mul", (a, a), a)),
-        PreLieRep(v, _mm(sf, "rho", (a, v), v), _mm(sf, "mu", (a, v), v)),
-    )
-
-
-def _build_cochain(sf: StructureFile) -> Cochain:
-    a, v = Space(sf.dims["a"], "a"), Space(sf.dims["v"], "v")
-    arity = sf.dims["arity"]
-    return Cochain(arity, _mm(sf, "map", (a,) * arity, v))
-
-
-def _build_rmatrix(sf: StructureFile) -> dict:
-    n = sf.dims["g0"] + sf.dims["g1"]
-    r = [tuple(row) for row in sf.tensors["r"]] if n else []
-    frkr = None
-    if "frkr" in sf.tensors:
-        frkr = [tuple(row) for row in sf.tensors["frkr"]] if sf.dims["g1"] else []
-    return {
-        "g0": sf.dims["g0"],
-        "g1": sf.dims["g1"],
-        "r": tuple(r),
-        "frkr": tuple(frkr) if frkr is not None else None,
-    }
-
-
-_BUILDERS = {
-    "prelie": _build_prelie,
-    "prelie2": _build_prelie2,
-    "lie2": _build_lie2,
-    "crossed_module": _build_crossed_module,
-    "o_operator": _build_o_operator,
-    "rep": _build_rep,
-    "cochain": _build_cochain,
-    "rmatrix": _build_rmatrix,
+# kind -> (spaces by dims key, MultiMaps by tensor name) -> structure
+_CONSTRUCTORS = {
+    "prelie": lambda s, m: PreLieAlgebra(s["a"], m["mul"]),
+    "prelie2": lambda s, m: PreLie2Algebra(
+        s["a0"], s["a1"], m["dm"], m["mul00"], m["mul01"], m["mul10"], m["l3"]
+    ),
+    "lie2": _lie2,
+    "crossed_module": lambda s, m: PreLieCrossedModule(
+        PreLieAlgebra(s["a0"], m["mul0"]),
+        PreLieAlgebra(s["a1"], m["mul1"]),
+        m["dm"],
+        m["rho"],
+        m["mu"],
+    ),
+    "o_operator": _o_operator,
+    "rmatrix": lambda s, m: {
+        "g0": s["g0"].dim,
+        "g1": s["g1"].dim,
+        "r": _rows(m["r"]),
+        "frkr": _rows(m["frkr"]) if "frkr" in m else None,
+    },
+    "rep": lambda s, m: (PreLieAlgebra(s["a"], m["mul"]), PreLieRep(s["v"], m["rho"], m["mu"])),
+    "cochain": lambda s, m: Cochain(m["map"].arity, m["map"]),
 }
 
 
-# -- structure -> file ----------------------------------------------------------
+def _field(obj, path: str):
+    for step in path.split("."):
+        obj = obj[int(step)] if step.isdigit() else getattr(obj, step)
+    return obj
 
 
-def file_from_prelie(a: PreLieAlgebra, label="", provenance="") -> StructureFile:
-    return StructureFile(
-        "prelie", {"a": a.space.dim}, {"mul": a.mul.as_nested()}, label, provenance
-    )
-
-
-def file_from_prelie2(a: PreLie2Algebra, label="", provenance="") -> StructureFile:
-    return StructureFile(
-        "prelie2",
-        {"a0": a.a0.dim, "a1": a.a1.dim},
-        {
-            "dm": a.dm.as_nested(),
-            "mul00": a.mul00.as_nested(),
-            "mul01": a.mul01.as_nested(),
-            "mul10": a.mul10.as_nested(),
-            "l3": a.l3.as_nested(),
-        },
-        label,
-        provenance,
-    )
-
-
-def file_from_lie2(g: Lie2Algebra, label="", provenance="") -> StructureFile:
-    return StructureFile(
-        "lie2",
-        {"g0": g.g0.dim, "g1": g.g1.dim},
-        {
-            "dk": g.dk.as_nested(),
-            "l2_00": g.l2_00.as_nested(),
-            "l2_01": g.l2_01.as_nested(),
-            "l3": g.l3.as_nested(),
-        },
-        label,
-        provenance,
-    )
-
-
-def file_from_crossed_module(cm: PreLieCrossedModule, label="", provenance="") -> StructureFile:
-    return StructureFile(
-        "crossed_module",
-        {"a0": cm.a0alg.space.dim, "a1": cm.a1alg.space.dim},
-        {
-            "mul0": cm.a0alg.mul.as_nested(),
-            "mul1": cm.a1alg.mul.as_nested(),
-            "dm": cm.dm.as_nested(),
-            "rho": cm.rho.as_nested(),
-            "mu": cm.mu.as_nested(),
-        },
-        label,
-        provenance,
-    )
-
-
-def file_from_o_operator(t: OOperator, label="", provenance="") -> StructureFile:
-    g = t.context.algebra
-    v = t.context.complex
-    rep = t.context.rep
-    return StructureFile(
-        "o_operator",
-        {"g0": g.g0.dim, "g1": g.g1.dim, "v0": v.v0.dim, "v1": v.v1.dim},
-        {
-            "dk": g.dk.as_nested(),
-            "l2_00": g.l2_00.as_nested(),
-            "l2_01": g.l2_01.as_nested(),
-            "l3": g.l3.as_nested(),
-            "dm": v.dm.as_nested(),
-            "rho0_0": rep.rho0_0.as_nested(),
-            "rho0_1": rep.rho0_1.as_nested(),
-            "rho1": rep.rho1.as_nested(),
-            "rho2": rep.rho2.as_nested(),
-            "t0": t.t0.as_nested(),
-            "t1": t.t1.as_nested(),
-            "t2": t.t2.as_nested(),
-        },
-        label,
-        provenance,
-    )
-
-
-def file_from_rep(a: PreLieAlgebra, rep: PreLieRep, label="", provenance="") -> StructureFile:
-    return StructureFile(
-        "rep",
-        {"a": a.space.dim, "v": rep.space.dim},
-        {
-            "mul": a.mul.as_nested(),
-            "rho": rep.rho.as_nested(),
-            "mu": rep.mu.as_nested(),
-        },
-        label,
-        provenance,
-    )
-
-
-def file_from_cochain(w: Cochain, label="", provenance="") -> StructureFile:
-    a = w.map.inputs[0] if w.n else None
-    return StructureFile(
-        "cochain",
-        {
-            "a": a.dim if a else 0,
-            "v": w.map.output.dim,
-            "arity": w.n,
-        },
-        {"map": w.map.as_nested()},
-        label,
-        provenance,
-    )
-
-
-def file_from_rmatrix(
-    g0: int, g1: int, r, frkr=None, label="", provenance=""
-) -> StructureFile:
-    tensors = {"r": [list(row) for row in r]}
-    if frkr is not None:
-        tensors["frkr"] = [list(row) for row in frkr]
-    return StructureFile("rmatrix", {"g0": g0, "g1": g1}, tensors, label, provenance)
+def file_from(kind: str, obj, label: str = "", provenance: str = "") -> StructureFile:
+    """The file whose ``structure()`` is ``obj``: the inverse of parsing."""
+    if kind == "rmatrix":  # rows of rationals; frkr may be None
+        tensors = {
+            name: [list(row) for row in obj[name]] for name in _SCHEMAS[kind] if obj[name] is not None
+        }
+        return StructureFile(kind, {"g0": obj["g0"], "g1": obj["g1"]}, tensors, label, provenance)
+    dims = {"arity": obj.n, "a": 0} if kind == "cochain" else {}  # arity 0 has no "a" slot
+    tensors = {}
+    for name, (path, _) in _SCHEMAS[kind].items():
+        m = _field(obj, path)
+        dims.update(zip(_slot_keys(kind, name, dims), (sp.dim for sp in m.inputs + (m.output,))))
+        tensors[name] = m.as_nested()
+    return StructureFile(kind, dims, tensors, label, provenance)

@@ -10,7 +10,6 @@ into the computed End(V).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product as iter_product
 
 from .graded_spaces import EndAlgebra, TwoTermComplex, end_algebra
@@ -21,6 +20,8 @@ from .scalar_tensor import (
     MultiMap,
     Space,
     basis_vector,
+    block_multimap,
+    direct_sum,
     ml_apply,
     vec_add,
     vec_is_zero,
@@ -346,81 +347,45 @@ def semidirect_strict(g: Lie2Algebra, rep: Lie2Rep) -> Lie2Algebra:
     """G ⋉ V for a strict algebra acting strictly on a 2-term complex."""
     _require_strict(g, rep)
     v = rep.complex
-    n0, m0 = g.g0.dim, v.v0.dim
-    n1, m1 = g.g1.dim, v.v1.dim
-    s0 = Space(n0 + m0, f"{g.g0.label}+{v.v0.label}")
-    s1 = Space(n1 + m1, f"{g.g1.label}+{v.v1.label}")
-
-    def split0(i):  # index in s0 -> (g0 part?, index)
-        return ("g", i) if i < n0 else ("v", i - n0)
-
-    def split1(p):
-        return ("g", p) if p < n1 else ("v", p - n1)
-
-    def pad(gvec, vvec):
-        return tuple(gvec) + tuple(vvec)
-
-    def z(n):
-        return (Fraction(0),) * n
-
-    def dk_img(p):
-        kind, t = split1(p)
-        if kind == "g":
-            return pad(g.dk.image_of_basis(t), z(m0))
-        return pad(z(n0), v.dm.image_of_basis(t))
-
-    def l2_00_img(i, j):
-        ki, ti = split0(i)
-        kj, tj = split0(j)
-        gpart, vpart = z(n0), z(m0)
-        if ki == "g" and kj == "g":
-            gpart = g.l2_00.image_of_basis(ti, tj)
-        elif ki == "g" and kj == "v":
-            vpart = rep.rho0_0.image_of_basis(ti, tj)
-        elif ki == "v" and kj == "g":
-            vpart = vec_neg(rep.rho0_0.image_of_basis(tj, ti))
-        return pad(gpart, vpart)
-
-    def l2_01_img(i, p):
-        ki, ti = split0(i)
-        kp, tp = split1(p)
-        gpart, vpart = z(n1), z(m1)
-        if ki == "g" and kp == "g":
-            gpart = g.l2_01.image_of_basis(ti, tp)
-        elif ki == "g" and kp == "v":
-            vpart = rep.rho0_1.image_of_basis(ti, tp)
-        elif ki == "v" and kp == "g":
-            vpart = vec_neg(rep.rho1.image_of_basis(tp, ti))
-        return pad(gpart, vpart)
-
+    s0 = direct_sum(f"{g.g0.label}+{v.v0.label}", g.g0, v.v0)
+    s1 = direct_sum(f"{g.g1.label}+{v.v1.label}", g.g1, v.v1)
     return Lie2Algebra(
-        s0,
-        s1,
-        MultiMap.build((s1,), s0, dk_img),
-        MultiMap.build((s0, s0), s0, l2_00_img),
-        MultiMap.build((s0, s1), s1, l2_01_img),
-        MultiMap.zero((s0, s0, s0), s1),
+        s0.space,
+        s1.space,
+        block_multimap((s1,), s0, {(0,): (0, g.dk.image_of_basis), (1,): (1, v.dm.image_of_basis)}),
+        block_multimap(
+            (s0, s0),
+            s0,
+            {
+                (0, 0): (0, g.l2_00.image_of_basis),
+                (0, 1): (1, rep.rho0_0.image_of_basis),
+                (1, 0): (1, lambda t, i: vec_neg(rep.rho0_0.image_of_basis(i, t))),
+            },
+        ),
+        block_multimap(
+            (s0, s1),
+            s1,
+            {
+                (0, 0): (0, g.l2_01.image_of_basis),
+                (0, 1): (1, rep.rho0_1.image_of_basis),
+                (1, 0): (1, lambda t, p: vec_neg(rep.rho1.image_of_basis(p, t))),
+            },
+        ),
+        MultiMap.zero((s0.space, s0.space, s0.space), s1.space),
     )
 
 
 def semidirect_lie_algebra(g: Lie2Algebra) -> LieAlgebra:
     """Flatten a strict 2-algebra: [x+m, y+n] = l2(x,y) + l2(x,n) + l2(m,y)."""
     _require_strict(g)
-    n0, n1 = g.g0.dim, g.g1.dim
-    total = Space(n0 + n1, f"{g.g0.label}(+){g.g1.label}")
-
-    def z(n):
-        return (Fraction(0),) * n
-
-    def bracket(i, j):
-        gi = ("0", i) if i < n0 else ("1", i - n0)
-        gj = ("0", j) if j < n0 else ("1", j - n0)
-        if gi[0] == "0" and gj[0] == "0":
-            return tuple(g.l2_00.image_of_basis(gi[1], gj[1])) + z(n1)
-        if gi[0] == "0" and gj[0] == "1":
-            return z(n0) + tuple(g.l2_01.image_of_basis(gi[1], gj[1]))
-        if gi[0] == "1" and gj[0] == "0":
-            return z(n0) + tuple(vec_neg(g.l2_01.image_of_basis(gj[1], gi[1])))
-        return z(n0) + z(n1)
-
-    return LieAlgebra(total, MultiMap.build((total, total), total, bracket))
+    total = direct_sum(f"{g.g0.label}(+){g.g1.label}", g.g0, g.g1)
+    bracket = block_multimap(
+        (total, total),
+        total,
+        {
+            (0, 0): (0, g.l2_00.image_of_basis),
+            (0, 1): (1, g.l2_01.image_of_basis),
+            (1, 0): (1, lambda p, j: vec_neg(g.l2_01.image_of_basis(j, p))),
+        },
+    )
+    return LieAlgebra(total.space, bracket)

@@ -25,9 +25,11 @@ from .lie2_core import (
 from .prelie2_core import PreLie2Algebra
 from .report import InvalidStructureError, ValidationReport, Violation, make_report
 from .scalar_tensor import (
+    DirectSum,
     MultiMap,
-    Space,
     basis_vector,
+    block_multimap,
+    direct_sum,
     ml_apply,
     ml_compose_linear,
     vec_add,
@@ -251,33 +253,20 @@ def flatten_check(t0: MultiMap, t1: MultiMap, ctx: OOperatorContext) -> bool:
         )
     v = ctx.complex
     flat = semidirect_lie_algebra(g)
-    n0, n1 = g.g0.dim, g.g1.dim
-    m0, m1 = v.v0.dim, v.v1.dim
-    vflat = Space(m0 + m1, f"{v.v0.label}(+){v.v1.label}")
-
-    def z(n):
-        return (Fraction(0),) * n
-
-    def rho_img(i, j):
-        gi = ("0", i) if i < n0 else ("1", i - n0)
-        vj = ("0", j) if j < m0 else ("1", j - m0)
-        if gi[0] == "0" and vj[0] == "0":
-            return tuple(rep.rho0_0.image_of_basis(gi[1], vj[1])) + z(m1)
-        if gi[0] == "0" and vj[0] == "1":
-            return z(m0) + tuple(rep.rho0_1.image_of_basis(gi[1], vj[1]))
-        if gi[0] == "1" and vj[0] == "0":
-            return z(m0) + tuple(rep.rho1.image_of_basis(gi[1], vj[1]))
-        return z(m0) + z(m1)
-
-    rho_flat = MultiMap.build((flat.space, vflat), vflat, rho_img)
-
-    def t_img(j):
-        vj = ("0", j) if j < m0 else ("1", j - m0)
-        if vj[0] == "0":
-            return tuple(t0.image_of_basis(vj[1])) + z(n1)
-        return z(n0) + tuple(t1.image_of_basis(vj[1]))
-
-    t_flat = MultiMap.build((vflat,), flat.space, t_img)
+    gflat = DirectSum(flat.space, (g.g0, g.g1))
+    vflat = direct_sum(f"{v.v0.label}(+){v.v1.label}", v.v0, v.v1)
+    rho_flat = block_multimap(
+        (gflat, vflat),
+        vflat,
+        {
+            (0, 0): (0, rep.rho0_0.image_of_basis),
+            (0, 1): (1, rep.rho0_1.image_of_basis),
+            (1, 0): (1, rep.rho1.image_of_basis),
+        },
+    )
+    t_flat = block_multimap(
+        (vflat,), gflat, {(0,): (0, t0.image_of_basis), (1,): (1, t1.image_of_basis)}
+    )
     chain_ok = ml_compose_linear(t0, v.dm) == ml_compose_linear(g.dk, t1)
     return chain_ok and lie_o_operator_holds(t_flat, flat.bracket, rho_flat)
 

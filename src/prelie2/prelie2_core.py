@@ -7,8 +7,6 @@ slots only.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product as iter_product
 
@@ -177,23 +175,11 @@ def _cond_c(ev: _Eval) -> list[Violation]:
     return out
 
 
-def validate(a: PreLie2Algebra, workers: int | None = None) -> ValidationReport:
-    """Evaluate the seven condition families on every basis tuple.
-
-    ``workers`` > 1 fans the families out across threads; the merged report is
-    ordered deterministically either way.  Defaults to the PRELIE2_WORKERS
-    environment variable.
-    """
+def validate(a: PreLie2Algebra) -> ValidationReport:
+    """Evaluate the seven condition families on every basis tuple."""
     ev = _Eval(a)
     families = (_cond_skew, _cond_a, _cond_b, _cond_c)
-    if workers is None:
-        workers = int(os.environ.get("PRELIE2_WORKERS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda f: f(ev), families))
-    else:
-        chunks = [f(ev) for f in families]
-    return make_report([v for chunk in chunks for v in chunk])
+    return make_report([v for family in families for v in family(ev)])
 
 
 def validate_hom(f: PreLie2Hom, a: PreLie2Algebra, b: PreLie2Algebra) -> ValidationReport:

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
@@ -20,7 +20,7 @@ Vector = tuple[Fraction, ...]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")  # ASCII digits only
 
 
 class RationalFormatError(ValueError):
@@ -216,6 +216,46 @@ class MultiMap:
         if 0 in shape:
             return nest(shape[:-1], [])
         return nest(shape[:-1], self.coeffs) if self.inputs else list(self.coeffs)
+
+
+@dataclass(frozen=True)
+class DirectSum:
+    """``space`` with the bases of ``parts`` laid end to end, in order."""
+
+    space: Space
+    parts: tuple[Space, ...]
+
+
+def direct_sum(label: str, *parts: Space) -> DirectSum:
+    return DirectSum(Space(sum(p.dim for p in parts), label), parts)
+
+
+def block_multimap(
+    inputs: Sequence[DirectSum],
+    output: DirectSum,
+    blocks: Mapping[tuple[int, ...], tuple[int, Callable[..., Iterable[Fraction]]]],
+) -> MultiMap:
+    """Assemble a map between direct sums from its nonzero blocks.
+
+    ``blocks`` maps the summand numbers of the input slots to ``(k, image)``:
+    ``image`` takes the basis indices within those summands and gives a
+    vector of output summand ``k``.  Absent blocks are zero.
+    """
+    where = [[(b, i) for b, p in enumerate(s.parts) for i in range(p.dim)] for s in inputs]
+    offsets = [0]
+    for p in output.parts:
+        offsets.append(offsets[-1] + p.dim)
+
+    def image(*idx):
+        located = [where[k][i] for k, i in enumerate(idx)]
+        vec = [ZERO] * output.space.dim
+        block = blocks.get(tuple(b for b, _ in located))
+        if block is not None:
+            k, part_image = block
+            vec[offsets[k] : offsets[k + 1]] = part_image(*(i for _, i in located))
+        return vec
+
+    return MultiMap.build([s.space for s in inputs], output.space, image)
 
 
 def ml_apply(m: MultiMap, args: Sequence[Vector]) -> Vector:

@@ -31,6 +31,8 @@ from .scalar_tensor import (
     MultiMap,
     Space,
     basis_vector,
+    block_multimap,
+    direct_sum,
     kernel_of_rows,
     ml_apply,
     vec_sub,
@@ -98,26 +100,18 @@ def cybe_check(r: Tensor2Element, g: LieAlgebra | None = None) -> ValidationRepo
 
 def double_lie_algebra(g: LieAlgebra, rep: LieRep) -> LieAlgebra:
     """g ⋉ V* through the dual representation, dual basis ordered after g."""
-    n, m = g.space.dim, rep.space.dim
-    total = Space(n + m, f"{g.space.label}(+){rep.space.label}*")
-
-    def z(k):
-        return (Fraction(0),) * k
-
-    def bracket(i, j):
-        if i < n and j < n:
-            return tuple(g.bracket.image_of_basis(i, j)) + z(m)
-        if i < n and j >= n:
-            q = j - n
-            return z(n) + tuple(
-                -rep.rho.entry(i, t, q) for t in range(m)
-            )
-        if i >= n and j < n:
-            p = i - n
-            return z(n) + tuple(rep.rho.entry(j, t, p) for t in range(m))
-        return z(n) + z(m)
-
-    return LieAlgebra(total, MultiMap.build((total, total), total, bracket))
+    m = rep.space.dim
+    total = direct_sum(f"{g.space.label}(+){rep.space.label}*", g.space, rep.space)
+    bracket = block_multimap(
+        (total, total),
+        total,
+        {
+            (0, 0): (0, g.bracket.image_of_basis),
+            (0, 1): (1, lambda i, q: tuple(-rep.rho.entry(i, t, q) for t in range(m))),
+            (1, 0): (1, lambda p, j: tuple(rep.rho.entry(j, t, p) for t in range(m))),
+        },
+    )
+    return LieAlgebra(total.space, bracket)
 
 
 def o_operator_to_r(t: MultiMap, g: LieAlgebra, rep: LieRep) -> Tensor2Element:

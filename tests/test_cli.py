@@ -7,7 +7,7 @@ import pytest
 from prelie2.cli import main
 from prelie2.fileio import (
     SchemaError,
-    file_from_prelie2,
+    file_from,
     parse_document,
     read_file,
     serialize_document,
@@ -46,7 +46,10 @@ def test_serialization_round_trip_byte_exact(fixture_dir):
     for name in SHIPPED:
         path = fixture_dir / name
         text = path.read_text(encoding="utf-8")
-        assert serialize_document(parse_document(text)) == text, name
+        sf = parse_document(text)
+        assert serialize_document(sf) == text, name
+        back = file_from(sf.kind, sf.structure(), sf.label, sf.provenance)
+        assert serialize_document(back) == text, name
 
 
 def test_mutants_fail_with_exit_one(fixture_dir, capsys):
@@ -185,13 +188,15 @@ def test_parse_rejects_bad_shapes():
         parse_document(json.dumps({"kind": "nope", "dims": {}, "tensors": {}}))
     with pytest.raises(SchemaError):
         parse_document("not json")
+    with pytest.raises(SchemaError):  # a bool is not a dimension
+        parse_document(json.dumps({"kind": "prelie", "dims": {"a": True}, "tensors": {"mul": [[["1"]]]}}))
+    with pytest.raises(SchemaError):  # ARABIC-INDIC DIGIT ONE is not an ASCII digit
+        parse_document(json.dumps({"kind": "prelie", "dims": {"a": 1}, "tensors": {"mul": [[["\u0661"]]]}}))
 
 
 def test_rmatrix_schema_round_trip(tmp_path):
-    from prelie2.fileio import file_from_rmatrix
-
     r = [[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]]
-    sf = file_from_rmatrix(1, 1, r, [[Fraction(2)]], label="toy")
+    sf = file_from("rmatrix", {"g0": 1, "g1": 1, "r": r, "frkr": [[Fraction(2)]]}, label="toy")
     text = serialize_document(sf)
     again = parse_document(text)
     assert serialize_document(again) == text
@@ -199,7 +204,8 @@ def test_rmatrix_schema_round_trip(tmp_path):
     assert data["r"][0][1] == 1 and data["frkr"][0][0] == 2
 
 
-def test_workers_env_var_respected(fixture_dir, monkeypatch, capsys):
-    monkeypatch.setenv("PRELIE2_WORKERS", "3")
+def test_stale_workers_env_var_is_ignored(fixture_dir, monkeypatch, capsys):
+    # a leftover PRELIE2_WORKERS setting must neither change nor break validation
+    monkeypatch.setenv("PRELIE2_WORKERS", "abc")
     assert run("verify", str(fixture_dir / "fix_b.json")) == 0
     assert run("verify", str(fixture_dir / "mutants/fix_b_mutant.json")) == 1

@@ -121,17 +121,14 @@ def test_perturbed_action_detected_with_witness():
     assert report.violations[0].where == (0, 0)
 
 
-def test_validation_report_ordering_deterministic_and_parallel_safe():
+def test_validation_report_ordering_deterministic():
     b = fix_b()
     bumped = list(b.l3.coeffs)
     bumped[0] += 1  # breaks l3 skewness and condition families at once
     mutant = PreLie2Algebra(
         b.a0, b.a1, b.dm, b.mul00, b.mul01, b.mul10, MultiMap(b.l3.inputs, b.l3.output, tuple(bumped))
     )
-    seq = validate(mutant, workers=1)
-    par = validate(mutant, workers=4)
-    assert seq == par
-    ordered = [(v.condition, v.where) for v in seq.violations]
+    ordered = [(v.condition, v.where) for v in validate(mutant).violations]
     assert ordered == sorted(ordered)
 
 
