@@ -5,14 +5,19 @@ Everything derived (the invariant form, the nonzero operator triple, the
 mutants' caught conditions) is computed here by the library's own solvers and
 searches, then frozen into JSON files.  Run from the repository root:
 
-    python3 scripts/make_fixtures.py
+    python3 scripts/make_fixtures.py           # rewrite fixtures/
+    python3 scripts/make_fixtures.py --check   # exit 1 if fixtures/ is stale
+
+``--check`` regenerates into a temporary directory and compares it byte for
+byte with ``fixtures/``, writing nothing there.
 """
 
 from __future__ import annotations
 
-import io
+import argparse
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,22 +36,21 @@ from prelie2.scalar_tensor import MultiMap  # noqa: E402
 OUT = ROOT / "fixtures"
 
 
-def emit(sf: StructureFile, name: str, transcript: list[str]):
-    path = OUT / name
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(serialize_document(sf), encoding="utf-8")
-    transcript.append(f"- wrote `{name}` (kind={sf.kind}, label={sf.label})")
-
-
-def main() -> int:
+def generate(out: Path) -> list[str]:
+    """Write the corpus and its transcript into ``out``; return the transcript."""
     transcript: list[str] = ["# Fixture corpus derivation transcript", ""]
     t = transcript
+
+    def emit(sf: StructureFile, name: str):
+        path = out / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(serialize_document(sf), encoding="utf-8")
+        transcript.append(f"- wrote `{name}` (kind={sf.kind}, label={sf.label})")
 
     a = fixtures.fix_a()
     emit(
         file_from("prelie", a, "FIX-A", "dim 2; e1*e1=e1, e1*e2=e2; validated exactly"),
         "fix_a.json",
-        t,
     )
     t.append(f"  FIX-A associator-symmetry report empty: {validate_prelie(a).ok}")
 
@@ -56,7 +60,6 @@ def main() -> int:
             "prelie2", b, "FIX-B", "strict; ideal span{e2} of FIX-A, inclusion differential"
         ),
         "fix_b.json",
-        t,
     )
 
     mirror = fixtures.omega_algebra()
@@ -75,32 +78,27 @@ def main() -> int:
             "invariant form; l3 = induced 3-cocycle",
         ),
         "fix_omega.json",
-        t,
     )
 
     emit(
         file_from("prelie2", fixtures.fix_c(), "FIX-C", "skeletal; FIX-A on itself (left/right)"),
         "fix_c.json",
-        t,
     )
     emit(
         file_from("prelie2", fixtures.fix_d(), "FIX-D", "skeletal; FIX-A on its dual"),
         "fix_d.json",
-        t,
     )
     emit(
         file_from(
             "prelie2", fixtures.fix_e(), "FIX-E", "strict; ideal span{e2} of the mirror algebra"
         ),
         "fix_e.json",
-        t,
     )
 
     cm = fixtures.fix_b_crossed_module()
     emit(
         file_from("crossed_module", cm, "FIX-B", "ideal example as a crossed module"),
         "fix_cm.json",
-        t,
     )
 
     ctx = fixtures.fix_b_context()
@@ -108,7 +106,6 @@ def main() -> int:
     emit(
         file_from("o_operator", tid, "O-ID", "identity triple on the FIX-B context"),
         "fix_o_id.json",
-        t,
     )
     found = []
     for cand in o_operators.search_o_operators(ctx, bound=1):
@@ -129,26 +126,22 @@ def main() -> int:
     emit(
         file_from("o_operator", frozen, "O-N", "frozen from the exhaustive search"),
         "fix_o_n.json",
-        t,
     )
 
     reps = standard_reps(a)
     emit(
         file_from("rep", (a, reps["left"]), "FIX-A-left", "regular representation"),
         "fix_rep_left.json",
-        t,
     )
     emit(
         file_from("rep", (a, reps["dual"]), "FIX-A-dual", "dual regular representation"),
         "fix_rep_dual.json",
-        t,
     )
 
     phi = Cochain(3, om.l3)
     emit(
         file_from("cochain", phi, "FIX-OMEGA-cocycle", "the induced 3-cocycle"),
         "fix_cochain.json",
-        t,
     )
 
     from prelie2 import lie2_core, ybe
@@ -159,7 +152,6 @@ def main() -> int:
     emit(
         file_from("lie2", dbl, "FIX-B-double", "the semidirect double of FIX-B"),
         "fix_double.json",
-        t,
     )
     emit(
         file_from(
@@ -169,7 +161,6 @@ def main() -> int:
             "canonical identity-operator solution in the double",
         ),
         "fix_rmatrix.json",
-        t,
     )
 
     # mutants: single constants changed so a named condition genuinely breaks
@@ -178,7 +169,7 @@ def main() -> int:
     bad_a = file_from("prelie", fixtures.fix_a_bad(), "FIX-A-mutant", "e2*e1=e1 added")
     rep = validate_prelie(fixtures.fix_a_bad())
     assert not rep.ok
-    emit(bad_a, "mutants/fix_a_mutant.json", t)
+    emit(bad_a, "mutants/fix_a_mutant.json")
     t.append(f"  fix_a_mutant conditions: {list(rep.conditions())}")
 
     mutated = b.mul01.coeffs[:0] + tuple(
@@ -194,7 +185,6 @@ def main() -> int:
     emit(
         file_from("prelie2", b_bad, "FIX-B-mutant", "mul01[e1,f1] bumped by 1"),
         "mutants/fix_b_mutant.json",
-        t,
     )
     t.append(f"  fix_b_mutant conditions: {list(rep.conditions())}")
 
@@ -205,15 +195,45 @@ def main() -> int:
         "provenance": "denominator zero",
         "tensors": {"mul": [[["1/0"]]]},
     }
-    (OUT / "mutants").mkdir(parents=True, exist_ok=True)
-    (OUT / "mutants/malformed.json").write_text(
+    (out / "mutants").mkdir(parents=True, exist_ok=True)
+    (out / "mutants/malformed.json").write_text(
         json.dumps(malformed, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     t.append("- wrote `mutants/malformed.json` (rational '1/0'; schema error)")
 
-    (OUT / "TRANSCRIPT.md").write_text("\n".join(transcript) + "\n", encoding="utf-8")
-    print("\n".join(transcript))
-    return 0
+    (out / "TRANSCRIPT.md").write_text("\n".join(transcript) + "\n", encoding="utf-8")
+    return transcript
+
+
+def differences(expected: Path, actual: Path) -> list[str]:
+    """Relative paths of the files that differ in bytes or exist on one side only."""
+
+    def files(root: Path) -> set[str]:
+        return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+
+    want, got = files(expected), files(actual)
+    changed = {n for n in want & got if (expected / n).read_bytes() != (actual / n).read_bytes()}
+    return sorted((want ^ got) | changed)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate the fixture corpus.")
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="regenerate into a temporary directory and exit 1 if any file differs from fixtures/",
+    )
+    args = parser.parse_args(argv)
+    if not args.check:
+        print("\n".join(generate(OUT)))
+        return 0
+    with tempfile.TemporaryDirectory() as tmp:
+        generate(Path(tmp))
+        stale = differences(OUT, Path(tmp))
+    for name in stale:
+        print(f"differs from a fresh regeneration: fixtures/{name}", file=sys.stderr)
+    print(f"fixtures/: {len(stale)} stale file(s)" if stale else "fixtures/ is up to date")
+    return 1 if stale else 0
 
 
 if __name__ == "__main__":

@@ -160,7 +160,7 @@ def _slot_spaces(kind: str, name: str, dims: dict[str, int]) -> tuple[Space, ...
 def parse_document(text: str) -> StructureFile:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or a number past the int-string digit limit
         raise SchemaError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object")

@@ -14,9 +14,9 @@ from .scalar_tensor import (
     MultiMap,
     Space,
     Vector,
-    kernel_of_rows,
+    kernel_coordinates,
+    kernel_with_free_columns,
     ml_compose_linear,
-    solve_in_span,
 )
 
 
@@ -47,17 +47,21 @@ def is_chain_map(f: ChainMap, src: TwoTermComplex, dst: TwoTermComplex) -> bool:
 
 @dataclass(frozen=True)
 class EndAlgebra:
-    """End(V) with its computed degree-0 basis and embedding data."""
+    """End(V) with its computed degree-0 basis and embedding data.
+
+    ``end0_free`` holds the free column of each End0 basis pair in the
+    commuting system, so coordinates need no solve.
+    """
 
     complex: TwoTermComplex
     lie2: "object"  # Lie2Algebra; typed loosely to avoid an import cycle
     end0_pairs: tuple[tuple[MultiMap, MultiMap], ...]
+    end0_free: tuple[int, ...]
 
     def end0_coordinates(self, a0: MultiMap, a1: MultiMap) -> Vector | None:
         """Express a chain-commuting pair in the End0 basis, or None."""
-        target = _flatten_pair(self.complex, a0, a1)
-        vectors = [_flatten_pair(self.complex, p0, p1) for p0, p1 in self.end0_pairs]
-        return solve_in_span(vectors, target)
+        vectors = [_flatten_pair(p0, p1) for p0, p1 in self.end0_pairs]
+        return kernel_coordinates(vectors, self.end0_free, _flatten_pair(a0, a1))
 
     def end1_coordinates(self, phi: MultiMap) -> Vector:
         """Hom(V0, V1) in the standard basis, row-major over (V0, V1)."""
@@ -65,7 +69,7 @@ class EndAlgebra:
         return tuple(phi.entry(i, j) for i in range(n0) for j in range(n1))
 
 
-def _flatten_pair(v: TwoTermComplex, a0: MultiMap, a1: MultiMap) -> Vector:
+def _flatten_pair(a0: MultiMap, a1: MultiMap) -> Vector:
     return tuple(a0.coeffs) + tuple(a1.coeffs)
 
 
@@ -91,13 +95,7 @@ def end_algebra(v: TwoTermComplex) -> EndAlgebra:
         for r in range(n1):
             row[n0 * n0 + p * n1 + r] -= v.dm.entry(r, q)  # A1[p][r] * dm[r][q]
         rows.append(row)
-    if rows:
-        kernel = kernel_of_rows(rows, nvars)
-    else:
-        kernel = [
-            tuple(Fraction(1) if t == s else Fraction(0) for t in range(nvars))
-            for s in range(nvars)
-        ]
+    kernel, free = kernel_with_free_columns(rows, nvars)
 
     def unflatten(vec: Vector) -> tuple[MultiMap, MultiMap]:
         a0 = MultiMap((v.v0,), v.v0, tuple(vec[: n0 * n0]))
@@ -117,10 +115,9 @@ def end_algebra(v: TwoTermComplex) -> EndAlgebra:
         )
 
     end1_maps = [end1_map(t) for t in range(n0 * n1)]
-    flat_pairs = [_flatten_pair(v, p0, p1) for p0, p1 in pairs]
 
     def coords_of_pair(a0: MultiMap, a1: MultiMap) -> Vector:
-        coords = solve_in_span(flat_pairs, _flatten_pair(v, a0, a1))
+        coords = kernel_coordinates(kernel, free, _flatten_pair(a0, a1))
         if coords is None:
             raise ValueError("element does not lie in End0")
         return coords
@@ -149,4 +146,4 @@ def end_algebra(v: TwoTermComplex) -> EndAlgebra:
     l2_01 = MultiMap.build((g0, g1), g1, l2_01_img)
     l3 = MultiMap.zero((g0, g0, g0), g1)
     lie2 = Lie2Algebra(g0, g1, dk, l2_00, l2_01, l3)
-    return EndAlgebra(v, lie2, pairs)
+    return EndAlgebra(v, lie2, pairs, tuple(free))

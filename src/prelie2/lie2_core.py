@@ -23,6 +23,7 @@ from .scalar_tensor import (
     block_multimap,
     direct_sum,
     ml_apply,
+    ml_compose_linear,
     vec_add,
     vec_is_zero,
     vec_neg,
@@ -238,7 +239,8 @@ def rep_as_end_hom(g: Lie2Algebra, rep: Lie2Rep) -> tuple[Lie2Hom, EndAlgebra, V
         )
         coords = end.end0_coordinates(a0, a1)
         if coords is None:
-            bad.append(Violation("rep-chain", (i,), (next(iter(a0.coeffs), None) or 0,)))
+            defect = ml_compose_linear(a0, v.dm) - ml_compose_linear(v.dm, a1)
+            bad.append(Violation("rep-chain", (i,), defect.coeffs))
             coords = tuple([0] * len(end.end0_pairs))
         coords0.append(coords)
     g0e = end.lie2.g0

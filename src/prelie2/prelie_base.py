@@ -12,6 +12,7 @@ from itertools import combinations, product as iter_product
 
 from .report import InvalidStructureError, ValidationReport, Violation, make_report
 from .scalar_tensor import (
+    ZERO,
     MultiMap,
     Space,
     Vector,
@@ -337,6 +338,31 @@ def cocycle_from_form(a: PreLieAlgebra, form: InvariantForm) -> Cochain:
     return cochain
 
 
+def _invariance_rows(a: PreLieAlgebra) -> list[list[Fraction]]:
+    """The invariance system over the skew forms, one row per basis triple
+    (i, j, k) and one column per pair p < q:
+    omega([e_i, e_j], e_k) + omega(e_j, e_i.e_k) for omega(e_p, e_q) = 1."""
+    n = a.space.dim
+    pairs = list(combinations(range(n), 2))
+    m = a.mul.entry
+    rows = []
+    for i, j, k in iter_product(range(n), repeat=3):
+        row = []
+        for p, q in pairs:
+            val = ZERO
+            if k == q:
+                val += m(i, j, p) - m(j, i, p)
+            if k == p:
+                val -= m(i, j, q) - m(j, i, q)
+            if j == p:
+                val += m(i, k, q)
+            if j == q:
+                val -= m(i, k, p)
+            row.append(val)
+        rows.append(row)
+    return rows
+
+
 def invariant_forms(a: PreLieAlgebra) -> list[InvariantForm]:
     """Exact solve of the invariance system over the skew bilinear forms."""
     n = a.space.dim
@@ -353,24 +379,7 @@ def invariant_forms(a: PreLieAlgebra) -> list[InvariantForm]:
             (a.space, a.space), SCALAR_LINE, lambda i, j: (grid[i][j],)
         )
 
-    rows = []
-    bas = [basis_vector(a.space, i) for i in range(n)]
-    for i, j, k in iter_product(range(n), repeat=3):
-        row = []
-        for p in range(len(pairs)):
-            coords = [Fraction(0)] * len(pairs)
-            coords[p] = Fraction(1)
-            om = omega_of(coords)
-            commutator = vec_sub(
-                ml_apply(a.mul, [bas[i], bas[j]]), ml_apply(a.mul, [bas[j], bas[i]])
-            )
-            val = (
-                ml_apply(om, [commutator, bas[k]])[0]
-                + ml_apply(om, [bas[j], ml_apply(a.mul, [bas[i], bas[k]])])[0]
-            )
-            row.append(val)
-        rows.append(row)
-    basis = kernel_of_rows(rows, len(pairs))
+    basis = kernel_of_rows(_invariance_rows(a), len(pairs))
     return [InvariantForm(omega_of(coords)) for coords in basis]
 
 

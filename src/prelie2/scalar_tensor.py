@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
+from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 Scalar = Fraction
@@ -40,12 +41,14 @@ def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise RationalFormatError(f"not a rational literal: {text!r}")
     s = text.strip()
-    if "/" in s:
-        num, den = s.split("/")
-        if int(den) == 0:
-            raise RationalFormatError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    num, _, den = s.partition("/")
+    try:
+        p, q = int(num), int(den or "1")
+    except ValueError:  # beyond the interpreter's int-string digit limit
+        raise RationalFormatError(f"rational literal too long: {len(s)} characters") from None
+    if q == 0:
+        raise RationalFormatError(f"zero denominator: {text!r}")
+    return Fraction(p, q)
 
 
 def format_rational(q: Fraction) -> str:
@@ -316,48 +319,66 @@ def ml_skew_in(m: MultiMap, slot_a: int, slot_b: int) -> bool:
 
 
 def _fraction_free_rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form with integer fraction-free elimination.
+    """Reduced row echelon form by Bareiss fraction-free elimination.
 
-    Rows are scaled to integers, eliminated by cross-multiplication, and
-    normalized at the end so pivots are 1.  Deterministic: pivots are chosen
-    scanning columns left to right, rows top to bottom.
+    Each row is scaled to integers by the lcm of its denominators.  Below
+    each pivot, rows are eliminated with the exact division
+    ``(p*a - q*b) // prev`` by the previous pivot (Bareiss 1968, Math. Comp.
+    22:565-578), so every entry is a minor of the scaled matrix and stays
+    within the Hadamard bound.  Back substitution at the end gives ``den``
+    times the RREF in integers, ``den`` being the last pivot (Cramer's
+    rule), and the division by ``den`` makes the pivots 1.  Deterministic:
+    pivots are chosen scanning columns left to right, rows top to bottom.
+    Returns the nonzero rows of the RREF and the pivot columns.
     """
-    mat: list[list[Fraction]] = []
+    mat: list[list[int]] = []
     for row in rows:
-        denlcm = 1
-        for x in row:
-            denlcm = denlcm * x.denominator // _gcd(denlcm, x.denominator)
-        mat.append([x * denlcm for x in row])
+        scale = lcm(*(x.denominator for x in row))
+        mat.append([x.numerator * (scale // x.denominator) for x in row])
+    mat = [row for row in mat if any(row)]
     pivots: list[int] = []
-    r = 0
+    prev = 1
     for c in range(ncols):
-        pivot_row = next((k for k in range(r, len(mat)) if mat[k][c] != 0), None)
+        r = len(pivots)
+        if r == len(mat):
+            break
+        pivot_row = next((k for k in range(r, len(mat)) if mat[k][c]), None)
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        for k in range(len(mat)):
-            if k != r and mat[k][c] != 0:
-                p, q = mat[r][c], mat[k][c]
-                mat[k] = [p * mat[k][j] - q * mat[r][j] for j in range(ncols)]
+        top = mat[r]
+        p = top[c]
+        below = []
+        for row in mat[r + 1 :]:
+            q = row[c]
+            row = [(p * a - q * b) // prev for a, b in zip(row, top)]
+            if any(row):  # a zero row stays zero and is never a pivot
+                below.append(row)
+        mat[r + 1 :] = below
+        prev = p
         pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    for r, c in enumerate(pivots):
-        p = mat[r][c]
-        mat[r] = [x / p for x in mat[r]]
-    return mat[: len(pivots)], pivots
+    den = prev
+    scaled: list[list[int]] = [[]] * len(pivots)  # den * RREF, filled bottom row first
+    for r in reversed(range(len(pivots))):
+        row = mat[r]
+        acc = [den * a for a in row]
+        for s in range(r + 1, len(pivots)):
+            f = row[pivots[s]]
+            if f:
+                acc = [a - f * b for a, b in zip(acc, scaled[s])]
+        p = row[pivots[r]]
+        scaled[r] = [a // p for a in acc]
+    rref = [[Fraction(a, den) if a else ZERO for a in row] for row in scaled]
+    return rref, pivots
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a if a else 1
-
-
-def kernel_of_rows(rows: list[list[Fraction]], ncols: int) -> list[Vector]:
-    """Basis of the solution space of the homogeneous system given by rows."""
-    rref, pivots = _fraction_free_rref([list(r) for r in rows], ncols)
+def kernel_with_free_columns(
+    rows: list[list[Fraction]], ncols: int
+) -> tuple[list[Vector], list[int]]:
+    """Kernel basis of the homogeneous system, with the free column of each
+    basis vector: vector ``s`` is 1 at ``free[s]`` and 0 at the other free
+    columns."""
+    rref, pivots = _fraction_free_rref(rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis: list[Vector] = []
     for fc in free:
@@ -366,7 +387,32 @@ def kernel_of_rows(rows: list[list[Fraction]], ncols: int) -> list[Vector]:
         for r, pc in enumerate(pivots):
             v[pc] = -rref[r][fc]
         basis.append(tuple(v))
-    return basis
+    return basis, free
+
+
+def kernel_of_rows(rows: list[list[Fraction]], ncols: int) -> list[Vector]:
+    """Basis of the solution space of the homogeneous system given by rows."""
+    return kernel_with_free_columns(rows, ncols)[0]
+
+
+def kernel_coordinates(
+    basis: Sequence[Vector], free: Sequence[int], target: Vector
+) -> Vector | None:
+    """Coordinates of ``target`` in a basis from :func:`kernel_with_free_columns`,
+    or None when it lies outside the span.
+
+    The coordinates are the entries of ``target`` at the free columns;
+    recombining the basis with them gives ``target`` back exactly when it
+    lies in the span.
+    """
+    coords = tuple(target[c] for c in free)
+    combo = [ZERO] * len(target)
+    for c, v in zip(coords, basis):
+        if c:
+            for t, x in enumerate(v):
+                if x:
+                    combo[t] += c * x
+    return coords if all(x == y for x, y in zip(combo, target, strict=True)) else None
 
 
 def nullspace(f: MultiMap) -> list[Vector]:
@@ -399,15 +445,18 @@ def solve_in_span(vectors: Sequence[Vector], target: Vector) -> Vector | None:
 
 
 def invert_linear(f: MultiMap) -> MultiMap | None:
-    """Exact inverse of a square linear map, or None if singular."""
+    """Exact inverse of a square linear map, or None if singular.
+
+    One elimination of ``[M | I]``, where column ``i`` of ``M`` is the image
+    of basis vector ``i``; its RREF is ``[I | M^-1]`` exactly when ``M`` is
+    invertible.
+    """
     if f.arity != 1 or f.inputs[0].dim != f.output.dim:
         raise DimensionMismatch("inverse needs a square linear map")
     src, dst = f.inputs[0], f.output
-    cols = [f.image_of_basis(i) for i in range(src.dim)]
-    images = []
-    for j in range(dst.dim):
-        coords = solve_in_span(cols, basis_vector(dst, j))
-        if coords is None:
-            return None
-        images.append(coords)
-    return MultiMap.build((dst,), src, lambda j: images[j])
+    n = dst.dim
+    rows = [[f.entry(c, r) for c in range(n)] + list(basis_vector(n, r)) for r in range(n)]
+    rref, pivots = _fraction_free_rref(rows, 2 * n)
+    if pivots != list(range(n)):
+        return None
+    return MultiMap.build((dst,), src, lambda j: tuple(row[n + j] for row in rref))

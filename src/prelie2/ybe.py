@@ -28,6 +28,7 @@ from .prelie_base import LieAlgebra, LieRep, PreLieAlgebra, sub_adjacent, valida
 from .prelie2_core import PreLie2Algebra, is_strict, validate as validate_prelie2
 from .report import InvalidStructureError, ValidationReport, Violation, make_report
 from .scalar_tensor import (
+    ZERO,
     MultiMap,
     Space,
     basis_vector,
@@ -392,6 +393,47 @@ def a_astar_bridge(a: PreLieAlgebra, dm: MultiMap) -> dict:
     }
 
 
+def _bridge_rows(a: PreLieAlgebra, mul01: MultiMap, mul10: MultiMap) -> list[list[Fraction]]:
+    """The bridge's differential-compatibility system over the skew maps
+    A* -> A, one column per unit map dm_pq: xi_p -> e_q, xi_q -> -e_p (p < q).
+    Rows come per equation, then per output component c: (a1)
+    dm(x.xi) - x.(dm xi) and (a2) dm(xi.x) - (dm xi).x for each (e_i, xi_s),
+    then (a3) (dm xi).eta - xi.(dm eta) for each (xi_s, xi_u)."""
+    n = a.space.dim
+    params = [(p, q) for p in range(n) for q in range(n) if p < q]
+    col = {pq: t for t, pq in enumerate(params)}
+    m, m01, m10 = a.mul.entry, mul01.entry, mul10.entry
+
+    def dm_of(c, v):
+        # component c of dm(sum_l v(l) xi_l), as (column, value) pairs
+        return [(col[l, c], v(l)) for l in range(c)] + [(col[c, l], -v(l)) for l in range(c + 1, n)]
+
+    def on_dm(s, f):
+        # f(dm xi_s) for f linear in e_l, as (column, value) pairs
+        return [(col[s, l], f(l)) for l in range(s + 1, n)] + [(col[l, s], -f(l)) for l in range(s)]
+
+    def row(plus, minus):
+        out = [ZERO] * len(params)
+        for t, x in plus:
+            if x:
+                out[t] += x
+        for t, x in minus:
+            if x:
+                out[t] -= x
+        return out
+
+    rows: list[list[Fraction]] = []
+    for i, s in iter_product(range(n), repeat=2):
+        for c in range(n):
+            rows.append(row(dm_of(c, lambda l: m01(i, s, l)), on_dm(s, lambda l: m(i, l, c))))
+        for c in range(n):
+            rows.append(row(dm_of(c, lambda l: m10(s, i, l)), on_dm(s, lambda l: m(l, i, c))))
+    for s, u in iter_product(range(n), repeat=2):
+        for c in range(n):
+            rows.append(row(on_dm(s, lambda l: m01(l, u, c)), on_dm(u, lambda l: m10(s, l, c))))
+    return rows
+
+
 def bridge_dm_solutions(a: PreLieAlgebra) -> list[MultiMap]:
     """Basis of skew connecting maps A* -> A satisfying the three
     differential-compatibility constraints of the bridge."""
@@ -408,39 +450,5 @@ def bridge_dm_solutions(a: PreLieAlgebra) -> list[MultiMap]:
             grid[q][p] = -c
         return MultiMap.build((dual,), a.space, lambda p: tuple(grid[p]))
 
-    unit = []
-    for t in range(len(params)):
-        coords = [Fraction(0)] * len(params)
-        coords[t] = Fraction(1)
-        unit.append(dm_of(coords))
-
-    rows: list[list[Fraction]] = []
-    # (a1): dm(x·xi) - x·(dm xi); (a2): dm(xi·x) - (dm xi)·x; (a3): (dm xi)·eta - xi·(dm eta)
-    b_a = [basis_vector(a.space, i) for i in range(n)]
-    b_d = [basis_vector(dual, p) for p in range(n)]
-    equations = []
-    for i, p in iter_product(range(n), repeat=2):
-        equations.append(
-            lambda dmm, i=i, p=p: vec_sub(
-                ml_apply(dmm, [ml_apply(mul01, [b_a[i], b_d[p]])]),
-                ml_apply(a.mul, [b_a[i], ml_apply(dmm, [b_d[p]])]),
-            )
-        )
-        equations.append(
-            lambda dmm, i=i, p=p: vec_sub(
-                ml_apply(dmm, [ml_apply(mul10, [b_d[p], b_a[i]])]),
-                ml_apply(a.mul, [ml_apply(dmm, [b_d[p]]), b_a[i]]),
-            )
-        )
-    for p, q in iter_product(range(n), repeat=2):
-        equations.append(
-            lambda dmm, p=p, q=q: vec_sub(
-                ml_apply(mul01, [ml_apply(dmm, [b_d[p]]), b_d[q]]),
-                ml_apply(mul10, [b_d[p], ml_apply(dmm, [b_d[q]])]),
-            )
-        )
-    for eq in equations:
-        defects = [eq(u) for u in unit]
-        for comp in range(len(defects[0])):
-            rows.append([d[comp] for d in defects])
+    rows = _bridge_rows(a, mul01, mul10)
     return [dm_of(coords) for coords in kernel_of_rows(rows, len(params))]

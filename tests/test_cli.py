@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,6 +35,9 @@ ALL_FIXTURES = [
     "fix_rep_dual.json",
     "fix_cochain.json",
 ]
+
+# more digits than the interpreter converts to an int by default (4300)
+LONG_DIGITS = "1" * 5000
 
 # ALL_FIXTURES plus the semidirect double of FIX-B and its r-matrix
 SHIPPED = ALL_FIXTURES + ["fix_double.json", "fix_rmatrix.json"]
@@ -192,6 +198,26 @@ def test_parse_rejects_bad_shapes():
         parse_document(json.dumps({"kind": "prelie", "dims": {"a": True}, "tensors": {"mul": [[["1"]]]}}))
     with pytest.raises(SchemaError):  # ARABIC-INDIC DIGIT ONE is not an ASCII digit
         parse_document(json.dumps({"kind": "prelie", "dims": {"a": 1}, "tensors": {"mul": [[["\u0661"]]]}}))
+    for literal in (LONG_DIGITS, "1/" + LONG_DIGITS):  # past the int-string digit limit
+        with pytest.raises(SchemaError):
+            parse_document(json.dumps({"kind": "prelie", "dims": {"a": 1}, "tensors": {"mul": [[[literal]]]}}))
+    with pytest.raises(SchemaError):  # the same digits as a bare JSON number
+        parse_document('{"kind": "prelie", "dims": {"a": 1}, "tensors": {"mul": [[[%s]]]}}' % LONG_DIGITS)
+
+
+def test_overlong_rational_exits_two_without_traceback(tmp_path):
+    path = tmp_path / "long.json"
+    doc = {"kind": "prelie", "dims": {"a": 1}, "label": "x", "provenance": "x", "tensors": {"mul": [[[LONG_DIGITS]]]}}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "prelie2.cli", "verify", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "too long" in proc.stderr
 
 
 def test_rmatrix_schema_round_trip(tmp_path):

@@ -3,7 +3,7 @@ from fractions import Fraction
 from prelie2.fixtures import fix_b
 from prelie2.graded_spaces import ChainMap, TwoTermComplex, end_algebra, is_chain_map, zero_complex
 from prelie2.lie2_core import validate as validate_lie2
-from prelie2.scalar_tensor import MultiMap, Space, ml_skew_in
+from prelie2.scalar_tensor import MultiMap, Space, ml_compose_linear, ml_skew_in, solve_in_span
 
 
 def line_complex(dim0, dim1, dm_entries=None):
@@ -87,3 +87,40 @@ def test_non_chain_map_detected():
         MultiMap((v.v1,), v.v1, (Fraction(2),)),
     )
     assert not is_chain_map(f, v, v)
+
+
+def _flat(a0, a1):
+    return tuple(a0.coeffs) + tuple(a1.coeffs)
+
+
+def test_end_coordinates_match_solve_on_dense_differentials(rng):
+    # dense differentials put the pivot columns of the commuting system before
+    # its free columns, so a kernel vector's first nonzero entry is not its
+    # coordinate column
+    for n0, n1 in ((3, 2), (3, 3)):
+        dm = [Fraction(rng.choice((-2, -1, 1, 2))) for _ in range(n0 * n1)]
+        v = line_complex(n0, n1, dm)
+        e = end_algebra(v)
+        flat_pairs = [_flat(p0, p1) for p0, p1 in e.end0_pairs]
+        assert any(
+            next(c for c, x in enumerate(vec) if x) != fc
+            for vec, fc in zip(flat_pairs, e.end0_free)
+        )
+        for t in range(e.lie2.g1.dim):
+            phi = MultiMap.build(
+                (v.v0,), v.v1, lambda i, t=t: tuple(Fraction(int(i * n1 + j == t)) for j in range(n1))
+            )
+            target = _flat(ml_compose_linear(v.dm, phi), ml_compose_linear(phi, v.dm))
+            assert e.lie2.dk.image_of_basis(t) == solve_in_span(flat_pairs, target)
+        for s, (a0, a1) in enumerate(e.end0_pairs):
+            for t, (b0, b1) in enumerate(e.end0_pairs):
+                comm0 = ml_compose_linear(a0, b0) - ml_compose_linear(b0, a0)
+                comm1 = ml_compose_linear(a1, b1) - ml_compose_linear(b1, a1)
+                expected = solve_in_span(flat_pairs, _flat(comm0, comm1))
+                assert expected is not None
+                assert e.lie2.l2_00.image_of_basis(s, t) == expected
+                assert e.end0_coordinates(comm0, comm1) == expected
+        # identity on V0 and zero on V1 does not commute with a nonzero dm
+        outside = (MultiMap.identity(v.v0), MultiMap.zero((v.v1,), v.v1))
+        assert solve_in_span(flat_pairs, _flat(*outside)) is None
+        assert e.end0_coordinates(*outside) is None

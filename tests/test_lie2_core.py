@@ -216,6 +216,18 @@ def test_rep_chain_violation_detected():
     report = validate_rep(g, broken)
     assert not report.ok
     assert "rep-chain" in report.conditions()
+    # the defect is a0∘dm - dm∘a1 of the failing operator, flattened over
+    # (f_p, e_w); here a0 = 0, a1 = 1 and dm(f_0) = e_1
+    v, i = rep.complex, 1
+    expected = tuple(
+        sum((v.dm.entry(p, u) * rep.rho0_0.entry(i, u, w) for u in range(v.v0.dim)), Fraction(0))
+        - sum((broken.rho0_1.entry(i, p, r) * v.dm.entry(r, w) for r in range(v.v1.dim)), Fraction(0))
+        for p in range(v.v1.dim)
+        for w in range(v.v0.dim)
+    )
+    assert expected == (Fraction(0), Fraction(-1))
+    chain = [x for x in report.violations if x.condition == "rep-chain"]
+    assert [(x.where, x.defect) for x in chain] == [((i,), expected)]
 
 
 def test_skeletal_heisenberg_with_volume_homotopy():

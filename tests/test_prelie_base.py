@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -9,7 +9,9 @@ from prelie2.prelie_base import (
     Cochain,
     InvariantForm,
     PreLieAlgebra,
+    SCALAR_LINE,
     PreLieRep,
+    _invariance_rows,
     coboundary,
     cocycle_from_form,
     invariant_forms,
@@ -234,6 +236,29 @@ def test_invariant_form_solver_on_mirror_algebra():
 def test_fix_a_admits_no_nonzero_invariant_form():
     forms = invariant_forms(fix_a())
     assert forms == []
+
+
+def test_invariance_rows_match_evaluation_on_unit_forms(rng):
+    # each column is the skew form with omega(e_p, e_q) = 1, p < q; each row
+    # evaluates omega([e_i, e_j], e_k) + omega(e_j, e_i.e_k) through ml_apply
+    for n in (2, 3, 4):
+        s = Space(n, "a")
+        a = PreLieAlgebra(s, MultiMap((s, s), s, tuple(random_fraction(rng, 3) for _ in range(n**3))))
+        bas = [basis_vector(s, i) for i in range(n)]
+        units = []
+        for p, q in combinations(range(n), 2):
+            units.append(MultiMap.build(
+                (s, s), SCALAR_LINE, lambda i, j, p=p, q=q: (Fraction(int((i, j) == (p, q)) - int((i, j) == (q, p))),)
+            ))
+        expected = [
+            [
+                ml_apply(om, [vec_sub(a.product(bas[i], bas[j]), a.product(bas[j], bas[i])), bas[k]])[0]
+                + ml_apply(om, [bas[j], a.product(bas[i], bas[k])])[0]
+                for om in units
+            ]
+            for i, j, k in product(range(n), repeat=3)
+        ]
+        assert _invariance_rows(a) == expected
 
 
 def test_invariantnew_consequence():

@@ -10,9 +10,11 @@ from prelie2.scalar_tensor import (
     MultiMap,
     RationalFormatError,
     Space,
+    _fraction_free_rref,
     basis_vector,
     format_rational,
     invert_linear,
+    kernel_of_rows,
     ml_apply,
     ml_compose_linear,
     ml_skew_in,
@@ -228,3 +230,109 @@ def test_solve_and_invert():
     coords = solve_in_span([(Fraction(1), Fraction(1))], (Fraction(3), Fraction(3)))
     assert coords == (Fraction(3),)
     assert solve_in_span([(Fraction(1), Fraction(1))], (Fraction(1), Fraction(0))) is None
+
+
+# -- the exact elimination against a plain Fraction Gauss-Jordan ----------------
+
+
+def gauss_jordan(rows, ncols):
+    """Textbook RREF over Fraction: first nonzero row below as the pivot,
+    normalise it, clear its column everywhere."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        k = next((k for k in range(r, len(mat)) if mat[k][c] != 0), None)
+        if k is None:
+            continue
+        mat[r], mat[k] = mat[k], mat[r]
+        mat[r] = [x / mat[r][c] for x in mat[r]]
+        for k in range(len(mat)):
+            if k != r and mat[k][c] != 0:
+                f = mat[k][c]
+                mat[k] = [x - f * y for x, y in zip(mat[k], mat[r])]
+        pivots.append(c)
+    return mat[: len(pivots)], pivots
+
+
+def reference_kernel(rows, ncols):
+    rref, pivots = gauss_jordan(rows, ncols)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rref[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def reference_solve(vectors, target):
+    k = len(vectors)
+    rows = [[vec[r] for vec in vectors] + [target[r]] for r in range(len(target))]
+    rref, pivots = gauss_jordan(rows, k + 1)
+    if k in pivots:
+        return None
+    coords = [Fraction(0)] * k
+    for r, pc in enumerate(pivots):
+        coords[pc] = rref[r][k]
+    return tuple(coords)
+
+
+def reference_inverse(cols):
+    # cols[i] is the image of basis vector i; the inverse's columns likewise
+    n = len(cols)
+    rows = [[cols[c][r] for c in range(n)] + [Fraction(int(r == j)) for j in range(n)] for r in range(n)]
+    rref, pivots = gauss_jordan(rows, 2 * n)
+    if pivots != list(range(n)):
+        return None
+    return tuple(rref[r][n + j] for j in range(n) for r in range(n))
+
+
+# mostly integers and zeros, with some fractions, so that rank drops often
+small_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-3, 3).map(Fraction),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+
+
+@st.composite
+def matrices(draw, square=False):
+    nrows = draw(st.integers(0, 5))
+    ncols = nrows if square else draw(st.integers(1, 6))
+    rows = [draw(st.lists(small_rationals, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    if rows and draw(st.booleans()):  # rank-deficient: a combination of two rows
+        a, b = draw(small_rationals), draw(small_rationals)
+        i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+        rows[draw(st.integers(0, nrows - 1))] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [Fraction(0)] * ncols
+    return rows, ncols
+
+
+@settings(max_examples=40)
+@given(data=matrices(), target=st.lists(small_rationals, min_size=6, max_size=6))
+def test_elimination_matches_gauss_jordan(data, target):
+    rows, ncols = data
+    assert _fraction_free_rref([list(r) for r in rows], ncols) == gauss_jordan(rows, ncols)
+    assert kernel_of_rows(rows, ncols) == reference_kernel(rows, ncols)
+    # the columns of ``rows`` as vectors, against a free target and one in their span
+    vectors = [tuple(row[c] for row in rows) for c in range(ncols)]
+    free_target = tuple(target[: len(rows)])
+    in_span = tuple(sum((x for x in row[:2]), Fraction(0)) for row in rows)
+    for t in (free_target, in_span):
+        assert solve_in_span(vectors, t) == reference_solve(vectors, t)
+
+
+@settings(max_examples=40)
+@given(data=matrices(square=True))
+def test_inverse_matches_gauss_jordan(data):
+    rows, n = data
+    s = Space(n, "s")
+    f = MultiMap((s,), s, tuple(rows[r][c] for c in range(n) for r in range(n)))
+    inv = invert_linear(f)
+    expected = reference_inverse([f.image_of_basis(i) for i in range(n)])
+    assert (inv is None) == (expected is None)
+    if inv is not None:
+        assert inv.coeffs == expected

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from conftest import random_fraction
 from prelie2.fixtures import (
     fix_a,
     fix_b,
@@ -18,7 +19,7 @@ from prelie2.lie2_core import from_prelie2, validate_rep, zero_lie2
 from prelie2.o_operators import OOperatorContext, validate_o
 from prelie2.prelie_base import LieAlgebra, LieRep, standard_reps, sub_adjacent, validate_lie
 from prelie2.report import InvalidStructureError
-from prelie2.scalar_tensor import MultiMap, Space
+from prelie2.scalar_tensor import MultiMap, Space, basis_vector, ml_apply, vec_sub
 from prelie2.ybe import (
     Tensor2Element,
     a_astar_bridge,
@@ -257,6 +258,43 @@ def test_bridge_abelian_any_skew_map():
 
 def test_bridge_solver_fix_a_only_zero():
     assert bridge_dm_solutions(fix_a()) == []
+
+
+def test_bridge_rows_match_evaluation_on_unit_maps(rng):
+    # each column is the skew map dm(xi_p) = e_q, dm(xi_q) = -e_p, p < q; each
+    # equation is evaluated on it through ml_apply, one row per component
+    from prelie2.prelie_base import PreLieAlgebra
+    from prelie2.ybe import _bridge_rows, _dual_products
+
+    for n in (2, 3, 4):
+        s = Space(n, "a")
+        a = PreLieAlgebra(s, MultiMap((s, s), s, tuple(random_fraction(rng, 3) for _ in range(n**3))))
+        dual, mul01, mul10, _ = _dual_products(a)
+        ba = [basis_vector(s, i) for i in range(n)]
+        bd = [basis_vector(dual, p) for p in range(n)]
+        units = [
+            MultiMap.build((dual,), s, lambda t, p=p, q=q: tuple(
+                Fraction(int((t, c) == (p, q)) - int((t, c) == (q, p))) for c in range(n)
+            ))
+            for p in range(n) for q in range(p + 1, n)
+        ]
+        equations = []
+        for i, p in product(range(n), repeat=2):
+            equations.append(lambda dm, i=i, p=p: vec_sub(
+                ml_apply(dm, [ml_apply(mul01, [ba[i], bd[p]])]), ml_apply(a.mul, [ba[i], ml_apply(dm, [bd[p]])])
+            ))
+            equations.append(lambda dm, i=i, p=p: vec_sub(
+                ml_apply(dm, [ml_apply(mul10, [bd[p], ba[i]])]), ml_apply(a.mul, [ml_apply(dm, [bd[p]]), ba[i]])
+            ))
+        for p, q in product(range(n), repeat=2):
+            equations.append(lambda dm, p=p, q=q: vec_sub(
+                ml_apply(mul01, [ml_apply(dm, [bd[p]]), bd[q]]), ml_apply(mul10, [bd[p], ml_apply(dm, [bd[q]])])
+            ))
+        expected = []
+        for eq in equations:
+            defects = [eq(u) for u in units]
+            expected += [[d[c] for d in defects] for c in range(n)]
+        assert _bridge_rows(a, mul01, mul10) == expected
 
 
 def test_bridge_solver_mirror_algebra_nonzero():
