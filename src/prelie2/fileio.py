@@ -159,6 +159,13 @@ def _slot_spaces(kind: str, name: str, dims: dict[str, int]) -> tuple[Space, ...
 
 def parse_document(text: str) -> StructureFile:
     try:
+        return _parse_document(text)
+    except RecursionError:  # arrays or objects nested past the interpreter's recursion limit
+        raise SchemaError("document nested too deeply") from None
+
+
+def _parse_document(text: str) -> StructureFile:
+    try:
         doc = json.loads(text)
     except ValueError as exc:  # malformed, or a number past the int-string digit limit
         raise SchemaError(f"invalid JSON: {exc}") from exc

@@ -286,14 +286,27 @@ def ml_apply(m: MultiMap, args: Sequence[Vector]) -> Vector:
 
 
 def ml_compose_linear(f: MultiMap, g: MultiMap) -> MultiMap:
-    """Matrix product f∘g of two linear maps (apply g first)."""
+    """Matrix product f∘g of two linear maps (apply g first), summed over
+    the nonzero entries of g and f."""
     if f.arity != 1 or g.arity != 1:
         raise DimensionMismatch("composition is defined for linear maps only")
     if g.output != f.inputs[0]:
         raise DimensionMismatch(
             f"output of g ({g.output.dim}) does not match input of f ({f.inputs[0].dim})"
         )
-    return MultiMap.build(g.inputs, f.output, lambda i: ml_apply(f, [g.image_of_basis(i)]))
+    nb, nc = g.output.dim, f.output.dim
+    fc, gc = f.coeffs, g.coeffs
+    out = [ZERO] * (g.inputs[0].dim * nc)
+    for a in range(g.inputs[0].dim):
+        base = a * nc
+        for b in range(nb):
+            x = gc[a * nb + b]
+            if x:
+                for c in range(nc):
+                    y = fc[b * nc + c]
+                    if y:
+                        out[base + c] += x * y
+    return MultiMap(g.inputs, f.output, tuple(out))
 
 
 def ml_skew_in(m: MultiMap, slot_a: int, slot_b: int) -> bool:

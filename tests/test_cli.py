@@ -21,6 +21,15 @@ def run(*argv) -> int:
     return main(list(argv))
 
 
+def run_in_subprocess(*argv) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, so a traceback or exit code is seen as a user sees it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "prelie2.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
 ALL_FIXTURES = [
     "fix_a.json",
     "fix_b.json",
@@ -209,15 +218,28 @@ def test_overlong_rational_exits_two_without_traceback(tmp_path):
     path = tmp_path / "long.json"
     doc = {"kind": "prelie", "dims": {"a": 1}, "label": "x", "provenance": "x", "tensors": {"mul": [[[LONG_DIGITS]]]}}
     path.write_text(json.dumps(doc), encoding="utf-8")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "prelie2.cli", "verify", str(path)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_in_subprocess("verify", str(path))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "too long" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100_000,  # past the JSON decoder's nesting limit
+        # decodes, but nests a tensor past the recursion limit of the schema checks
+        json.dumps({"kind": "prelie", "dims": {"a": 1}, "tensors": {"mul": json.loads("[" * 900 + "]" * 900)}}),
+    ],
+    ids=["unclosed", "deep-tensor"],
+)
+def test_deeply_nested_json_exits_two_without_traceback(tmp_path, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    proc = run_in_subprocess("verify", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "nested too deeply" in proc.stderr
 
 
 def test_rmatrix_schema_round_trip(tmp_path):

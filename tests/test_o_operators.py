@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from prelie2.fixtures import (
     fix_b,
     fix_b_context,
+    fix_e,
     fix_omega,
     o_identity,
     o_negative_lower,
@@ -24,8 +27,8 @@ from prelie2.o_operators import (
     validate_o,
 )
 from prelie2.prelie2_core import validate as validate_prelie2
-from prelie2.report import InvalidStructureError
-from prelie2.scalar_tensor import MultiMap
+from prelie2.report import InvalidStructureError, Violation, make_report
+from prelie2.scalar_tensor import MultiMap, basis_vector, ml_apply, vec_add, vec_is_zero, vec_neg, vec_sub
 
 
 def test_zero_operator_valid():
@@ -134,10 +137,15 @@ def test_flatten_rejects_nonstrict_context():
     g, rep = from_prelie2(fix_omega())
     ctx = OOperatorContext(g, rep)
     v = ctx.complex
-    with pytest.raises(InvalidStructureError):
+    with pytest.raises(InvalidStructureError) as info:
         flatten_check(
             MultiMap.zero((v.v0,), g.g0), MultiMap.zero((v.v1,), g.g1), ctx
         )
+    # the defect lists the nonzero l3 entries, then the nonzero rho2 entries:
+    # here l3 = 0 and rho2(e1, e2, e1) = -rho2(e2, e1, e1) = -1
+    (strict,) = info.value.report.violations
+    assert (strict.condition, strict.where) == ("strict", ())
+    assert strict.defect == (Fraction(-1), Fraction(1))
 
 
 def test_search_recovers_frozen_fixture_and_structure_of_solutions():
@@ -165,14 +173,13 @@ def test_identity_on_homotopy_nontrivial_fixture():
     assert induced_prelie2(t) == fix_omega()
 
 
-def test_nonzero_t2_operators_exist_and_induce_new_homotopy():
-    """On the dim-3 skeletal context the identity pair admits a 6-parameter
-    space of valid skew T2 components, found by an exact linear solve; each
-    one shifts the induced homotopy through the rho1 term."""
-    from itertools import product
-
+@pytest.fixture(scope="module")
+def dim3_operators():
+    """The dim-3 skeletal structure built from a nonzero triangular cocycle,
+    and the identity pair (T0, T1) on its context with each T2 of an exact
+    kernel basis of the skew T2 components that keep (iii)."""
     from test_prelie2_core import triangular_cocycles
-    from prelie2.prelie2_core import build_skeletal, validate as validate_p2
+    from prelie2.prelie2_core import build_skeletal
     from prelie2.scalar_tensor import kernel_of_rows
 
     alg, rep, cocycles = triangular_cocycles()
@@ -192,8 +199,6 @@ def test_nonzero_t2_operators_exist_and_induce_new_homotopy():
             i, j = pairs[p]
             grid.setdefault((i, j), [0] * 3)[b] += c
             grid.setdefault((j, i), [0] * 3)[b] -= c
-        from fractions import Fraction
-
         return MultiMap.build(
             (v.v0, v.v0),
             g.g1,
@@ -222,18 +227,199 @@ def test_nonzero_t2_operators_exist_and_induce_new_homotopy():
         [unit_defects[t][r] for t in range(len(params))]
         for r in range(len(unit_defects[0]))
     ]
-    from fractions import Fraction
-
     kernel = kernel_of_rows([[Fraction(x) for x in row] for row in rows], len(params))
-    assert len(kernel) == 6
+    return built, [OOperator(ctx, ident0, ident1, t2_of(coords)) for coords in kernel]
+
+
+def test_nonzero_t2_operators_exist_and_induce_new_homotopy(dim3_operators):
+    """On the dim-3 skeletal context the identity pair admits a 6-parameter
+    space of valid skew T2 components, found by an exact linear solve; each
+    one shifts the induced homotopy through the rho1 term."""
+    from prelie2.prelie2_core import validate as validate_p2
+
+    built, operators = dim3_operators
+    assert len(operators) == 6
     exercised_rho1_term = False
-    for coords in kernel:
-        t2 = t2_of(coords)
-        assert not t2.is_zero()
-        cand = OOperator(ctx, ident0, ident1, t2)
+    for cand in operators:
+        assert not cand.t2.is_zero()
         assert validate_o(cand).ok
         induced = induced_prelie2(cand)
         assert validate_p2(induced).ok
         if induced.l3 != built.l3:
             exercised_rho1_term = True
     assert exercised_rho1_term
+
+
+# -- the search and the reports against references written here ---------------
+
+SEARCH_CONTEXTS = {"FIX-B": fix_b, "FIX-E": fix_e, "FIX-OMEGA": fix_omega}
+
+
+def context_of(make) -> OOperatorContext:
+    return OOperatorContext(*from_prelie2(make()))
+
+
+@pytest.fixture(scope="module")
+def searched():
+    """Each context with the operators its bound-1 search yields, in order."""
+    out = {}
+    for name, make in SEARCH_CONTEXTS.items():
+        ctx = context_of(make)
+        out[name] = (ctx, list(search_o_operators(ctx, 1)))
+    return out
+
+
+def key(t: OOperator):
+    return t.t0.coeffs, t.t1.coeffs, t.t2.coeffs
+
+
+def full_grid(ctx: OOperatorContext, bound: int = 1):
+    """Every triple with entries in [-bound, bound] and T2 skew, in
+    lexicographic order of the free entries of (T0, T1, T2); T2 is free
+    above the diagonal."""
+    v, g = ctx.complex, ctx.algebra
+    n0, d1 = v.v0.dim, g.g1.dim
+    values = [Fraction(k) for k in range(-bound, bound + 1)]
+    upper = [(i, j) for i in range(n0) for j in range(i + 1, n0)]
+    t2s = []
+    for free in product(values, repeat=len(upper) * d1):
+        coeffs = [Fraction(0)] * (n0 * n0 * d1)
+        for s, (i, j) in enumerate(upper):
+            for b in range(d1):
+                coeffs[(i * n0 + j) * d1 + b] = free[s * d1 + b]
+                coeffs[(j * n0 + i) * d1 + b] = -free[s * d1 + b]
+        t2s.append(MultiMap((v.v0, v.v0), g.g1, tuple(coeffs)))
+    for e0 in product(values, repeat=n0 * g.g0.dim):
+        for e1 in product(values, repeat=v.v1.dim * d1):
+            for t2 in t2s:
+                yield OOperator(ctx, MultiMap((v.v0,), g.g0, e0), MultiMap((v.v1,), g.g1, e1), t2)
+
+
+def test_search_counts(searched):
+    counts = {name: len(found) for name, (_, found) in searched.items()}
+    assert counts == {"FIX-B": 27, "FIX-E": 21, "FIX-OMEGA": 189}
+
+
+@pytest.mark.parametrize("name", ["FIX-B", "FIX-OMEGA"])
+def test_search_yields_the_valid_part_of_the_full_grid_in_order(searched, name):
+    ctx, found = searched[name]
+    expected = [key(c) for c in full_grid(ctx) if validate_o(c).ok]
+    assert [key(c) for c in found] == expected
+
+
+def reference_validate_o(t: OOperator):
+    """The chain, skew-t2 and (i)-(iii) loops evaluated on basis vectors one
+    map application at a time, as the validator once did."""
+    ctx = t.context
+    g, rep, v = ctx.algebra, ctx.rep, ctx.complex
+    out = []
+    b0 = [basis_vector(v.v0, i) for i in range(v.v0.dim)]
+    b1 = [basis_vector(v.v1, p) for p in range(v.v1.dim)]
+
+    def t0(u):
+        return ml_apply(t.t0, [u])
+
+    def t1(m):
+        return ml_apply(t.t1, [m])
+
+    def t2(u, w):
+        return ml_apply(t.t2, [u, w])
+
+    def rho0_0(x, u):
+        return ml_apply(rep.rho0_0, [x, u])
+
+    for p in range(v.v1.dim):
+        img = vec_sub(t0(ml_apply(v.dm, [b1[p]])), ml_apply(g.dk, [t1(b1[p])]))
+        if not vec_is_zero(img):
+            out.append(Violation("chain", (p,), img))
+    for i, j in product(range(v.v0.dim), repeat=2):
+        defect = vec_add(t2(b0[i], b0[j]), t2(b0[j], b0[i]))
+        if not vec_is_zero(defect):
+            out.append(Violation("skew-t2", (i, j), defect))
+    for i, j in product(range(v.v0.dim), repeat=2):
+        u, w = b0[i], b0[j]
+        lhs = vec_sub(t0(vec_sub(rho0_0(t0(u), w), rho0_0(t0(w), u))), ml_apply(g.l2_00, [t0(u), t0(w)]))
+        defect = vec_sub(lhs, ml_apply(g.dk, [t2(u, w)]))
+        if not vec_is_zero(defect):
+            out.append(Violation("i", (i, j), defect))
+    for p, j in product(range(v.v1.dim), range(v.v0.dim)):
+        m, w = b1[p], b0[j]
+        lhs = vec_sub(
+            t1(vec_sub(ml_apply(rep.rho1, [t1(m), w]), ml_apply(rep.rho0_1, [t0(w), m]))),
+            vec_neg(ml_apply(g.l2_01, [t0(w), t1(m)])),  # l2(T1 m, T0 w) = -l2(T0 w, T1 m)
+        )
+        defect = vec_sub(lhs, t2(ml_apply(v.dm, [m]), w))
+        if not vec_is_zero(defect):
+            out.append(Violation("ii", (p, j), defect))
+    for i, j, k in product(range(v.v0.dim), repeat=3):
+        vs = (b0[i], b0[j], b0[k])
+        total = ml_apply(g.l3, [t0(vs[0]), t0(vs[1]), t0(vs[2])])
+        for x, y, z in (vs, vs[1:] + vs[:1], vs[2:] + vs[:2]):
+            total = vec_add(total, ml_apply(g.l2_01, [t0(x), t2(y, z)]))
+            total = vec_add(total, t2(z, vec_sub(rho0_0(t0(x), y), rho0_0(t0(y), x))))
+            total = vec_add(total, t1(vec_add(ml_apply(rep.rho1, [t2(y, z), x]), ml_apply(rep.rho2, [t0(y), t0(z), x]))))
+        if not vec_is_zero(total):
+            out.append(Violation("iii", (i, j, k), total))
+    return make_report(out)
+
+
+def test_validate_o_matches_reference_loops_on_random_triples():
+    rng = random.Random(20261018)
+    reports = []
+    for make in SEARCH_CONTEXTS.values():
+        ctx = context_of(make)
+        v, g = ctx.complex, ctx.algebra
+
+        def entries(n):
+            return tuple(Fraction(rng.randint(-2, 2)) for _ in range(n))
+
+        for _ in range(34):
+            t = OOperator(
+                ctx,
+                MultiMap((v.v0,), g.g0, entries(v.v0.dim * g.g0.dim)),
+                MultiMap((v.v1,), g.g1, entries(v.v1.dim * g.g1.dim)),
+                MultiMap((v.v0, v.v0), g.g1, entries(v.v0.dim**2 * g.g1.dim)),
+            )
+            report = validate_o(t)
+            assert report == reference_validate_o(t)
+            reports.append(report)
+    # the draws reach every condition family
+    assert {c for r in reports for c in r.conditions()} == {"chain", "skew-t2", "i", "ii", "iii"}
+
+
+def iii_via_induced_products(t: OOperator):
+    """Condition (iii) rewritten through the induced 2-term products:
+    rho0(T0 u)w is u·w, and T1 of the rho1 and rho2 terms is minus T1 of
+    the induced homotopy l3.  Yields ((i, j, k), value) per basis triple."""
+    induced = induced_prelie2(t)
+    g, v = t.context.algebra, t.context.complex
+    b0 = [basis_vector(v.v0, i) for i in range(v.v0.dim)]
+
+    def t0(u):
+        return ml_apply(t.t0, [u])
+
+    def t2(u, w):
+        return ml_apply(t.t2, [u, w])
+
+    def mul(u, w):
+        return ml_apply(induced.mul00, [u, w])
+
+    for i, j, k in product(range(v.v0.dim), repeat=3):
+        vs = (b0[i], b0[j], b0[k])
+        total = ml_apply(g.l3, [t0(vs[0]), t0(vs[1]), t0(vs[2])])
+        for x, y, z in (vs, vs[1:] + vs[:1], vs[2:] + vs[:2]):
+            total = vec_add(total, ml_apply(g.l2_01, [t0(x), t2(y, z)]))
+            total = vec_add(total, t2(z, vec_sub(mul(x, y), mul(y, x))))
+            total = vec_sub(total, ml_apply(t.t1, [ml_apply(induced.l3, [x, y, z])]))
+        yield (i, j, k), total
+
+
+def test_iii_rewritten_with_induced_products_vanishes(searched, dim3_operators):
+    operators = [t for _, found in searched.values() for t in found]
+    operators.append(o_identity(context_of(fix_omega)))
+    # with dim V0 = 2 and T2 skew, the T2 and homotopy terms of (iii) cancel
+    # over the rotations on their own; on dim V0 = 3 they do not
+    operators.extend(dim3_operators[1])
+    for t in operators:
+        for where, value in iii_via_induced_products(t):
+            assert vec_is_zero(value), (key(t), where)

@@ -336,3 +336,17 @@ def test_inverse_matches_gauss_jordan(data):
     assert (inv is None) == (expected is None)
     if inv is not None:
         assert inv.coeffs == expected
+
+
+@settings(max_examples=100)
+@given(data=st.data(), na=st.integers(0, 3), nb=st.integers(0, 3), nc=st.integers(0, 3))
+def test_compose_matches_column_by_column_apply(data, na, nb, nc):
+    a, b, c = Space(na, "a"), Space(nb, "b"), Space(nc, "c")
+    g = MultiMap((a,), b, tuple(data.draw(st.lists(small_rationals, min_size=na * nb, max_size=na * nb))))
+    f = MultiMap((b,), c, tuple(data.draw(st.lists(small_rationals, min_size=nb * nc, max_size=nb * nc))))
+    expected = MultiMap.build(g.inputs, f.output, lambda i: ml_apply(f, [g.image_of_basis(i)]))
+    assert ml_compose_linear(f, g) == expected
+    with pytest.raises(DimensionMismatch):
+        ml_compose_linear(f, MultiMap.zero((a,), Space(nb + 1, "b")))
+    with pytest.raises(DimensionMismatch):
+        ml_compose_linear(f, MultiMap.zero((a, a), b))
