@@ -24,10 +24,6 @@ from prelie2.cli import _TARGET_KINDS, main
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_outputs.json"
 
-# End(V) of the skeletal and doubled corpus members takes seconds each and
-# is not what these goldens guard.
-SLOW_PAIRS = {("end-algebra", "fix_c.json"), ("end-algebra", "fix_d.json"), ("end-algebra", "fix_double.json")}
-
 
 def _files() -> list[str]:
     return sorted(p.relative_to(FIXTURE_DIR).as_posix() for p in FIXTURE_DIR.rglob("*.json"))
@@ -62,7 +58,7 @@ def _cases() -> list[tuple[str, tuple[str, ...]]]:
     shipped = [n for n in _files() if "/" not in n]
     for target, kinds in sorted(_TARGET_KINDS.items()):
         for name in shipped:
-            if _kind(name) in kinds and (target, name) not in SLOW_PAIRS:
+            if _kind(name) in kinds:
                 cases.append((f"construct {target} {name}", ("construct", target, name)))
     return cases
 
