@@ -17,6 +17,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from .graded_spaces import TwoTermComplex
+from .identities import Condition, check
 from .prelie2_core import (
     PreLie2Algebra,
     PreLie2Hom,
@@ -105,49 +106,32 @@ class RawCatPreLie2:
     jac: MultiMap  # obj^3 -> mor (the full J morphism)
 
 
+_FUNCTOR_LAWS = (
+    Condition("source", "fg", "p0(star(f,g)) - star0(p0(f),p0(g))"),
+    Condition("target", "fg", "t(star(f,g)) - star0(t(f),t(g))"),
+    Condition("unit", "uv", "p1(star(e0(u),e0(v)))"),
+    Condition("interchange-a", "mn", "p1(star(e1(m),e1(n))) - p1(star(e0(d(m)),e1(n)))"),
+    Condition("interchange-b", "mn", "p1(star(e0(d(m)),e1(n))) - p1(star(e1(m),e0(d(n))))"),
+)
+
+
 def validate_cat(c: CatPreLie2) -> ValidationReport:
     """Bilinear-functor laws for the morphism-level product."""
     sp = c.space
-    n0, n1 = sp.complex.v0.dim, sp.complex.v1.dim
-    nm = n0 + n1
-    mor_basis = [basis_vector(nm, i) for i in range(nm)]
-    out: list[Violation] = []
-    for i, j in iter_product(range(nm), repeat=2):
-        f, g = mor_basis[i], mor_basis[j]
-        prod = ml_apply(c.star_mor, [f, g])
-        src = ml_apply(c.star_obj, [sp.source(f), sp.source(g)])
-        defect = vec_sub(sp.proj0(prod), src)
-        if not vec_is_zero(defect):
-            out.append(Violation("source", (i, j), defect))
-        tgt = ml_apply(c.star_obj, [sp.target(f), sp.target(g)])
-        defect = vec_sub(sp.target(prod), tgt)
-        if not vec_is_zero(defect):
-            out.append(Violation("target", (i, j), defect))
-    for i, j in iter_product(range(n0), repeat=2):
-        prod = ml_apply(
-            c.star_mor,
-            [sp.embed0(basis_vector(n0, i)), sp.embed0(basis_vector(n0, j))],
-        )
-        if not vec_is_zero(sp.proj1(prod)):
-            out.append(Violation("unit", (i, j), sp.proj1(prod)))
-    dm = sp.complex.dm
-    for p, q in iter_product(range(n1), repeat=2):
-        m = basis_vector(n1, p)
-        n = basis_vector(n1, q)
-        mm_raw = sp.proj1(ml_apply(c.star_mor, [sp.embed1(m), sp.embed1(n)]))
-        dm_m = sp.proj1(
-            ml_apply(c.star_mor, [sp.embed0(ml_apply(dm, [m])), sp.embed1(n)])
-        )
-        m_dm = sp.proj1(
-            ml_apply(c.star_mor, [sp.embed1(m), sp.embed0(ml_apply(dm, [n]))])
-        )
-        d1 = vec_sub(mm_raw, dm_m)
-        if not vec_is_zero(d1):
-            out.append(Violation("interchange-a", (p, q), d1))
-        d2 = vec_sub(dm_m, m_dm)
-        if not vec_is_zero(d2):
-            out.append(Violation("interchange-b", (p, q), d2))
-    return make_report(out)
+    v0, v1, mor = sp.complex.v0, sp.complex.v1, sp.mor
+    p0 = MultiMap.build((mor,), v0, lambda f: sp.proj0(basis_vector(mor, f)))
+    p1 = MultiMap.build((mor,), v1, lambda f: sp.proj1(basis_vector(mor, f)))
+    tensors = {
+        "star": c.star_mor,
+        "star0": c.star_obj,
+        "d": sp.complex.dm,
+        "p0": p0,
+        "p1": p1,
+        "e0": MultiMap.build((v0,), mor, lambda u: sp.embed0(basis_vector(v0, u))),
+        "e1": MultiMap.build((v1,), mor, lambda m: sp.embed1(basis_vector(v1, m))),
+        "t": p0 + ml_compose_linear(sp.complex.dm, p1),
+    }
+    return check(tensors, _FUNCTOR_LAWS)
 
 
 def functor_T(a: PreLie2Algebra) -> CatPreLie2:

@@ -8,8 +8,8 @@ validator bug rather than bad data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 
+from .identities import Condition, check
 from .prelie_base import (
     LieAlgebra,
     PreLieAlgebra,
@@ -28,8 +28,6 @@ from .scalar_tensor import (
     block_multimap,
     direct_sum,
     ml_apply,
-    vec_add,
-    vec_is_zero,
     vec_sub,
 )
 
@@ -51,134 +49,54 @@ class LieCrossedModule:
     phi: MultiMap  # h0 x h1 -> h1
 
 
+def _prefixed(prefix: str, report: ValidationReport) -> ValidationReport:
+    return make_report([Violation(prefix + v.condition, v.where, v.defect) for v in report.violations])
+
+
+_CM = (
+    Condition("dM-hom", "mn", "d(p1(m,n)) - p0(d(m),d(n))"),
+    Condition("C1", "um", "d(rho(u,m)) - p0(u,d(m))"),
+    Condition("C2", "mn", "rho(d(m),n) - p1(m,n)"),
+    # derived identities (consequences of C1/C2 and the action axioms)
+    Condition("crossed1", "umn", "rho(u,p1(m,n)) - p1(rho(u,m),n) + p1(mu(u,m),n) - p1(m,rho(u,n))", derived=True),
+    Condition("crossed2", "umn", "mu(u,p1(m,n)) - mu(u,p1(n,m)) - p1(m,mu(u,n)) + p1(n,mu(u,m))", derived=True),
+)
+
+
 def validate_cm(cm: PreLieCrossedModule) -> ValidationReport:
     """All axioms, plus the two derived action identities as cross-checks."""
-    out: list[Violation] = []
-    out.extend(
-        Violation("prelie-0." + v.condition, v.where, v.defect)
-        for v in validate_prelie(cm.a0alg).violations
+    n1 = cm.a1alg.space.dim
+    # the mu halves of C1 and C2 are reported at (i, n1 + p) and (n1 + p, q)
+    mu_halves = (
+        Condition("C1", "um", "d(mu(u,m)) - p0(d(m),u)", shift=(0, n1)),
+        Condition("C2", "mn", "mu(d(n),m) - p1(m,n)", shift=(n1, 0)),
     )
-    out.extend(
-        Violation("prelie-1." + v.condition, v.where, v.defect)
-        for v in validate_prelie(cm.a1alg).violations
+    tensors = {"d": cm.dm, "rho": cm.rho, "mu": cm.mu, "p0": cm.a0alg.mul, "p1": cm.a1alg.mul}
+    action = validate_prelie_rep(cm.a0alg, PreLieRep(cm.a1alg.space, cm.rho, cm.mu))
+    return (
+        _prefixed("prelie-0.", validate_prelie(cm.a0alg))
+        .merged(_prefixed("prelie-1.", validate_prelie(cm.a1alg)))
+        .merged(_prefixed("action.", action))
+        .merged(check(tensors, _CM + mu_halves))
     )
-    out.extend(
-        Violation("action." + v.condition, v.where, v.defect)
-        for v in validate_prelie_rep(
-            cm.a0alg, PreLieRep(cm.a1alg.space, cm.rho, cm.mu)
-        ).violations
-    )
-    n0, n1 = cm.a0alg.space.dim, cm.a1alg.space.dim
-    b0 = [basis_vector(cm.a0alg.space, i) for i in range(n0)]
-    b1 = [basis_vector(cm.a1alg.space, p) for p in range(n1)]
 
-    def d(m):
-        return ml_apply(cm.dm, [m])
 
-    def rho(u, m):
-        return ml_apply(cm.rho, [u, m])
-
-    def mu(u, m):
-        return ml_apply(cm.mu, [u, m])
-
-    def p0(x, y):
-        return ml_apply(cm.a0alg.mul, [x, y])
-
-    def p1(m, n):
-        return ml_apply(cm.a1alg.mul, [m, n])
-
-    for p, q in iter_product(range(n1), repeat=2):
-        m, n = b1[p], b1[q]
-        defect = vec_sub(d(p1(m, n)), p0(d(m), d(n)))
-        if not vec_is_zero(defect):
-            out.append(Violation("dM-hom", (p, q), defect))
-    for i, p in iter_product(range(n0), range(n1)):
-        u, m = b0[i], b1[p]
-        d1 = vec_sub(d(rho(u, m)), p0(u, d(m)))
-        if not vec_is_zero(d1):
-            out.append(Violation("C1", (i, p), d1))
-        d2 = vec_sub(d(mu(u, m)), p0(d(m), u))
-        if not vec_is_zero(d2):
-            out.append(Violation("C1", (i, n1 + p), d2))
-    for p, q in iter_product(range(n1), repeat=2):
-        m, n = b1[p], b1[q]
-        d1 = vec_sub(rho(d(m), n), p1(m, n))
-        if not vec_is_zero(d1):
-            out.append(Violation("C2", (p, q), d1))
-        d2 = vec_sub(mu(d(n), m), p1(m, n))
-        if not vec_is_zero(d2):
-            out.append(Violation("C2", (n1 + p, q), d2))
-    # derived identities (consequences of C1/C2 and the action axioms)
-    for i, p, q in iter_product(range(n0), range(n1), range(n1)):
-        u, m, n = b0[i], b1[p], b1[q]
-        lhs = rho(u, p1(m, n))
-        rhs = vec_add(
-            vec_sub(p1(rho(u, m), n), p1(mu(u, m), n)), p1(m, rho(u, n))
-        )
-        d1 = vec_sub(lhs, rhs)
-        if not vec_is_zero(d1):
-            out.append(Violation("crossed1", (i, p, q), d1, derived=True))
-        lhs = mu(u, p1(m, n))
-        rhs = vec_add(
-            mu(u, p1(n, m)), vec_sub(p1(m, mu(u, n)), p1(n, mu(u, m)))
-        )
-        d2 = vec_sub(lhs, rhs)
-        if not vec_is_zero(d2):
-            out.append(Violation("crossed2", (i, p, q), d2, derived=True))
-    return make_report(out)
+_LIE_CM = (
+    Condition("dt-hom", "mn", "dt(b1(m,n)) - b0(dt(m),dt(n))"),
+    Condition("phi-action", "xym", "phi(b0(x,y),m) - phi(x,phi(y,m)) + phi(y,phi(x,m))"),
+    Condition("phi-derivation", "xmn", "phi(x,b1(m,n)) - b1(phi(x,m),n) - b1(m,phi(x,n))"),
+    Condition("peiffer-1", "xm", "dt(phi(x,m)) - b0(x,dt(m))"),
+    Condition("peiffer-2", "mn", "phi(dt(m),n) - b1(m,n)"),
+)
 
 
 def validate_lie_cm(cm: LieCrossedModule) -> ValidationReport:
-    out: list[Violation] = []
-    out.extend(
-        Violation("lie-0." + v.condition, v.where, v.defect)
-        for v in validate_lie(cm.h0).violations
+    tensors = {"dt": cm.dt, "phi": cm.phi, "b0": cm.h0.bracket, "b1": cm.h1.bracket}
+    return (
+        _prefixed("lie-0.", validate_lie(cm.h0))
+        .merged(_prefixed("lie-1.", validate_lie(cm.h1)))
+        .merged(check(tensors, _LIE_CM))
     )
-    out.extend(
-        Violation("lie-1." + v.condition, v.where, v.defect)
-        for v in validate_lie(cm.h1).violations
-    )
-    n0, n1 = cm.h0.space.dim, cm.h1.space.dim
-    b0 = [basis_vector(cm.h0.space, i) for i in range(n0)]
-    b1 = [basis_vector(cm.h1.space, p) for p in range(n1)]
-
-    def dt(m):
-        return ml_apply(cm.dt, [m])
-
-    def phi(x, m):
-        return ml_apply(cm.phi, [x, m])
-
-    for p, q in iter_product(range(n1), repeat=2):
-        m, n = b1[p], b1[q]
-        defect = vec_sub(dt(cm.h1.brk(m, n)), cm.h0.brk(dt(m), dt(n)))
-        if not vec_is_zero(defect):
-            out.append(Violation("dt-hom", (p, q), defect))
-    for i, j, p in iter_product(range(n0), range(n0), range(n1)):
-        x, y, m = b0[i], b0[j], b1[p]
-        defect = vec_sub(
-            phi(cm.h0.brk(x, y), m), vec_sub(phi(x, phi(y, m)), phi(y, phi(x, m)))
-        )
-        if not vec_is_zero(defect):
-            out.append(Violation("phi-action", (i, j, p), defect))
-    for i, p, q in iter_product(range(n0), range(n1), range(n1)):
-        x, m, n = b0[i], b1[p], b1[q]
-        defect = vec_sub(
-            phi(x, cm.h1.brk(m, n)),
-            vec_add(cm.h1.brk(phi(x, m), n), cm.h1.brk(m, phi(x, n))),
-        )
-        if not vec_is_zero(defect):
-            out.append(Violation("phi-derivation", (i, p, q), defect))
-    for i, p in iter_product(range(n0), range(n1)):
-        x, m = b0[i], b1[p]
-        defect = vec_sub(dt(phi(x, m)), cm.h0.brk(x, dt(m)))
-        if not vec_is_zero(defect):
-            out.append(Violation("peiffer-1", (i, p), defect))
-    for p, q in iter_product(range(n1), repeat=2):
-        m, n = b1[p], b1[q]
-        defect = vec_sub(phi(dt(m), n), cm.h1.brk(m, n))
-        if not vec_is_zero(defect):
-            out.append(Violation("peiffer-2", (p, q), defect))
-    return make_report(out)
 
 
 def to_strict_prelie2(cm: PreLieCrossedModule) -> PreLie2Algebra:

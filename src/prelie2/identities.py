@@ -1,0 +1,182 @@
+"""Multilinear identities, evaluated by sparse contraction.
+
+A condition is a signed sum of terms, written as text such as
+``"d(m01(u,m)) - m00(u,d(m))"``.  A name followed by an argument list
+applies the tensor of that name; a bare name is a basis variable.  Each
+term uses every declared variable exactly once.  The condition's defect at
+a basis tuple is the sum of its terms on the basis vectors the tuple names.
+It is computed by contracting the nonzero entries of each tensor, so the
+cost follows the nonzero entries and not the number of basis tuples.  One
+``Violation`` is reported per basis tuple with a nonzero defect.
+"""
+
+from __future__ import annotations
+
+import re
+from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import product as iter_product
+from typing import Mapping, Sequence
+
+from .report import ValidationReport, Violation, make_report
+from .scalar_tensor import ZERO, DimensionMismatch, MultiMap
+
+Term = tuple[int, tuple]  # (sign, (tensor name, *arguments)); an argument is a name or a tuple
+
+_TOKEN = re.compile(r"[A-Za-z_][\w']*|\S")
+
+
+def parse_terms(text: str) -> tuple[Term, ...]:
+    """The signed terms of ``text``; only the first sign may be left out."""
+    tokens = _TOKEN.findall(text) + [""]
+    pos = 0
+
+    def take(*expected: str) -> str:
+        nonlocal pos
+        tok = tokens[pos]
+        if expected and tok not in expected:
+            raise ValueError(f"{text!r}: expected {' or '.join(expected)}, got {tok!r}")
+        pos += 1
+        return tok
+
+    def expr():
+        name = take()
+        if not (name[:1].isalpha() or name[:1] == "_"):
+            raise ValueError(f"{text!r}: expected a name, got {name!r}")
+        if tokens[pos] != "(":
+            return name
+        take("(")
+        args = [expr()]
+        while take(",", ")") == ",":
+            args.append(expr())
+        return (name, *args)
+
+    terms = []
+    while tokens[pos]:
+        sign = "+"
+        if terms or tokens[pos] in ("+", "-"):
+            sign = take("+", "-")
+        terms.append((-1 if sign == "-" else 1, expr()))
+    return tuple(terms)
+
+
+def _shape(expr, names: list[str]):
+    """``expr`` with every variable replaced by None; the names are appended
+    to ``names`` in order of appearance.  Terms of one shape share a value."""
+    if isinstance(expr, str):
+        names.append(expr)
+        return None
+    return (expr[0], *(_shape(arg, names) for arg in expr[1:]))
+
+
+@dataclass(frozen=True)
+class Condition:
+    label: str
+    variables: Sequence[str]  # in the order of ``where``
+    identity: str  # the signed sum that must vanish
+    shift: tuple[int, ...] = ()  # added to ``where`` entry by entry
+    derived: bool = False
+    terms: tuple[Term, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        terms = parse_terms(self.identity)
+        for _, expr in terms:
+            names: list[str] = []
+            _shape(expr, names)
+            if sorted(names) != sorted(self.variables):
+                raise ValueError(f"{self.label}: every term must use each of {tuple(self.variables)} once")
+        object.__setattr__(self, "terms", terms)
+
+
+def skew(label: str, tensor: str, variables: Sequence[str], a: int, b: int) -> Condition:
+    """``tensor`` changes sign when its slots ``a`` and ``b`` are swapped."""
+    swapped = list(variables)
+    swapped[a], swapped[b] = swapped[b], swapped[a]
+    return Condition(label, variables, f"{tensor}({','.join(variables)}) + {tensor}({','.join(swapped)})")
+
+
+def support(m: MultiMap) -> dict[tuple[int, ...], list[tuple[int, Fraction]]]:
+    """The nonzero entries of ``m``, grouped by input basis tuple."""
+    out = {}
+    n = m.output.dim
+    for k, idx in enumerate(iter_product(*(range(sp.dim) for sp in m.inputs))):
+        row = [(j, c) for j, c in enumerate(m.coeffs[k * n : (k + 1) * n]) if c]
+        if row:
+            out[idx] = row
+    return out
+
+
+def _evaluate(expr: tuple, tensors: Mapping[str, MultiMap], supports: dict, memo: dict):
+    """(slot dimension of each variable, {assignment: {j: value}}, output
+    dimension) of an expression shape; an assignment lists the basis indices
+    of the variables in order of appearance."""
+    if expr in memo:
+        return memo[expr]
+    name, *args = expr
+    m = tensors[name]
+    if len(args) != m.arity:
+        raise DimensionMismatch(f"{name} takes {m.arity} arguments, got {len(args)}")
+    if name not in supports:
+        supports[name] = support(m)
+    dims: list[int] = []
+    by_out = []  # per slot: basis index -> [(assignment, value)]
+    for slot, (arg, sp) in enumerate(zip(args, m.inputs)):
+        if arg is None:
+            dims.append(sp.dim)
+            by_out.append([[((i,), 1)] for i in range(sp.dim)])
+            continue
+        sub_dims, values, n = _evaluate(arg, tensors, supports, memo)
+        if n != sp.dim:
+            raise DimensionMismatch(f"argument {slot} of {name} has {n} entries, expected {sp.dim}", slot=slot)
+        dims += sub_dims
+        lists: list[list] = [[] for _ in range(n)]
+        for assign, vec in values.items():
+            for j, x in vec.items():
+                if x:
+                    lists[j].append((assign, x))
+        by_out.append(lists)
+    values: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    for idx, row in supports[name].items():
+        for combo in iter_product(*(by_out[s][i] for s, i in enumerate(idx))):
+            assign, w = (), 1
+            for a, x in combo:
+                assign += a
+                w *= x
+            vec = values.setdefault(assign, {})
+            for j, c in row:
+                vec[j] = vec.get(j, ZERO) + w * c
+    memo[expr] = dims, values, m.output.dim
+    return memo[expr]
+
+
+def check(tensors: Mapping[str, MultiMap], conditions: Sequence[Condition]) -> ValidationReport:
+    """Evaluate every condition on every basis tuple of its variables."""
+    supports: dict[str, dict] = {}  # tensor name -> its nonzero entries
+    memo: dict[tuple, tuple] = {}  # expression shape -> its value
+    out: list[Violation] = []
+    for cond in conditions:
+        var_dims: dict[str, int] = {}
+        total: dict[tuple[int, ...], dict[int, Fraction]] = {}
+        n_out = None
+        for sign, expr in cond.terms:
+            names: list[str] = []
+            dims, values, n = _evaluate(_shape(expr, names), tensors, supports, memo)
+            for v, d in zip(names, dims):
+                if var_dims.setdefault(v, d) != d:
+                    raise DimensionMismatch(f"{cond.label}: {v} fills slots of dimension {var_dims[v]} and {d}")
+            if n_out is not None and n != n_out:
+                raise DimensionMismatch(f"{cond.label}: terms have {n_out} and {n} entries")
+            n_out = n
+            perm = [names.index(v) for v in cond.variables]
+            for assign, vec in values.items():
+                acc = total.setdefault(tuple(assign[k] for k in perm), {})
+                for j, x in vec.items():
+                    acc[j] = acc.get(j, ZERO) + sign * x
+        shift = cond.shift or (0,) * len(cond.variables)
+        for where in sorted(total):
+            vec = total[where]
+            if any(vec.values()):
+                where = tuple(i + s for i, s in zip(where, shift))
+                defect = tuple(vec.get(j, ZERO) for j in range(n_out))
+                out.append(Violation(cond.label, where, defect, cond.derived))
+    return make_report(out)

@@ -10,22 +10,20 @@ into the computed End(V).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product as iter_product
+from itertools import combinations
 
 from .graded_spaces import EndAlgebra, TwoTermComplex, end_algebra
+from .identities import Condition, check, skew
 from .prelie_base import LieAlgebra
 from .prelie2_core import PreLie2Algebra, PreLie2Hom, validate as validate_prelie2
 from .report import InvalidStructureError, ValidationReport, Violation, make_report
 from .scalar_tensor import (
     MultiMap,
     Space,
-    basis_vector,
     block_multimap,
     direct_sum,
-    ml_apply,
     ml_compose_linear,
     vec_add,
-    vec_is_zero,
     vec_neg,
     vec_sub,
 )
@@ -78,146 +76,57 @@ def zero_lie2(g0: Space, g1: Space) -> Lie2Algebra:
     )
 
 
-class _Ev:
-    def __init__(self, g: Lie2Algebra):
-        self.g = g
-        self.b0 = [basis_vector(g.g0, i) for i in range(g.g0.dim)]
-        self.b1 = [basis_vector(g.g1, p) for p in range(g.g1.dim)]
+def _named(g: Lie2Algebra, prime: str = "") -> dict[str, MultiMap]:
+    return {"d" + prime: g.dk, "l2" + prime: g.l2_00, "l2m" + prime: g.l2_01, "l3" + prime: g.l3}
 
-    def d(self, m):
-        return ml_apply(self.g.dk, [m])
 
-    def l2(self, x, y):
-        return ml_apply(self.g.l2_00, [x, y])
+def _jacobiator_identity() -> str:
+    """sum_i (-1)^i l2(x_i, l3(the rest)) + sum_{i<j} (-1)^(i+j+1) l3(l2(x_i, x_j), the rest)."""
+    xs = "wxyz"
+    terms = [f"{'+-'[i % 2]} l2m({xs[i]},l3({','.join(xs[:i] + xs[i + 1 :])}))" for i in range(4)]
+    for i, j in combinations(range(4), 2):
+        rest = ",".join(x for t, x in enumerate(xs) if t not in (i, j))
+        terms.append(f"{'-+'[(i + j) % 2]} l3(l2({xs[i]},{xs[j]}),{rest})")
+    return " ".join(terms)
 
-    def l2m(self, x, m):
-        return ml_apply(self.g.l2_01, [x, m])
 
-    def l3(self, x, y, z):
-        return ml_apply(self.g.l3, [x, y, z])
+_AXIOMS = (
+    skew("skew-l2", "l2", "xy", 0, 1),
+    # one label, two families: the (0,1) swap is reported before the (1,2) swap
+    skew("skew-l3", "l3", "xyz", 0, 1),
+    skew("skew-l3", "l3", "xyz", 1, 2),
+    Condition("i", "xm", "d(l2m(x,m)) - l2(x,d(m))"),
+    Condition("ii", "xyz", "d(l3(x,y,z)) - l2(x,l2(y,z)) - l2(y,l2(z,x)) - l2(z,l2(x,y))"),
+    # l2(y, l2(m, x)) = l2(y, -l2(x, m)); l2(m, l2(x, y)) = -l2(l2(x, y), m)
+    Condition("iii", "xym", "l3(x,y,d(m)) - l2m(x,l2m(y,m)) + l2m(y,l2m(x,m)) + l2m(l2(x,y),m)"),
+    Condition("iv", "wxyz", _jacobiator_identity()),
+)
 
 
 def validate(g: Lie2Algebra) -> ValidationReport:
     """Skewness plus conditions (i)-(iv), including the Jacobiator identity."""
-    ev = _Ev(g)
-    out: list[Violation] = []
-    n0, n1 = g.g0.dim, g.g1.dim
-    for i, j in iter_product(range(n0), repeat=2):
-        defect = vec_add(g.l2_00.image_of_basis(i, j), g.l2_00.image_of_basis(j, i))
-        if not vec_is_zero(defect):
-            out.append(Violation("skew-l2", (i, j), defect))
-    for (a, b) in ((0, 1), (1, 2)):
-        for idx in iter_product(range(n0), repeat=3):
-            swapped = list(idx)
-            swapped[a], swapped[b] = swapped[b], swapped[a]
-            defect = vec_add(
-                g.l3.image_of_basis(*idx), g.l3.image_of_basis(*tuple(swapped))
-            )
-            if not vec_is_zero(defect):
-                out.append(Violation("skew-l3", idx, defect))
-    for i, p in iter_product(range(n0), range(n1)):
-        x, m = ev.b0[i], ev.b1[p]
-        defect = vec_sub(ev.d(ev.l2m(x, m)), ev.l2(x, ev.d(m)))
-        if not vec_is_zero(defect):
-            out.append(Violation("i", (i, p), defect))
-    for p, q in iter_product(range(n1), repeat=2):
-        m, n = ev.b1[p], ev.b1[q]
-        defect = vec_sub(ev.l2m(ev.d(m), n), vec_neg(ev.l2m(ev.d(n), m)))
-        if not vec_is_zero(defect):
-            out.append(Violation("i", (n0 + p, q), defect))
-    for i, j, k in iter_product(range(n0), repeat=3):
-        x, y, z = ev.b0[i], ev.b0[j], ev.b0[k]
-        cyc = vec_add(
-            ev.l2(x, ev.l2(y, z)),
-            vec_add(ev.l2(y, ev.l2(z, x)), ev.l2(z, ev.l2(x, y))),
-        )
-        defect = vec_sub(ev.d(ev.l3(x, y, z)), cyc)
-        if not vec_is_zero(defect):
-            out.append(Violation("ii", (i, j, k), defect))
-    for i, j, p in iter_product(range(n0), range(n0), range(n1)):
-        x, y, m = ev.b0[i], ev.b0[j], ev.b1[p]
-        # l2(y, l2(m, x)) = l2(y, -l2(x, m)); l2(m, l2(x, y)) = -l2(l2(x,y), m)
-        rhs = vec_add(
-            ev.l2m(x, ev.l2m(y, m)),
-            vec_add(
-                ev.l2m(y, vec_neg(ev.l2m(x, m))),
-                vec_neg(ev.l2m(ev.l2(x, y), m)),
-            ),
-        )
-        defect = vec_sub(ev.l3(x, y, ev.d(m)), rhs)
-        if not vec_is_zero(defect):
-            out.append(Violation("iii", (i, j, p), defect))
-    for idx in iter_product(range(n0), repeat=4):
-        xs = [ev.b0[t] for t in idx]
-        total = None
-        for i in range(4):
-            rest = [xs[t] for t in range(4) if t != i]
-            term = ev.l2m(xs[i], ev.l3(*rest))
-            if i % 2 == 1:
-                term = vec_neg(term)
-            total = term if total is None else vec_add(total, term)
-        for i, j in combinations(range(4), 2):
-            rest = [xs[t] for t in range(4) if t not in (i, j)]
-            term = ev.l3(ev.l2(xs[i], xs[j]), *rest)
-            if (i + j) % 2 == 0:
-                term = vec_neg(term)
-            total = vec_add(total, term)
-        if not vec_is_zero(total):
-            out.append(Violation("iv", idx, total))
-    return make_report(out)
+    # (i) on two degree-1 arguments is reported at (n0 + p, q)
+    i_11 = Condition("i", "mn", "l2m(d(m),n) + l2m(d(n),m)", shift=(g.g0.dim, 0))
+    return check(_named(g), _AXIOMS + (i_11,))
+
+
+# Tensors of the target algebra carry a prime.
+_HOM_CONDITIONS = (
+    skew("skew-f2", "f2", "xy", 0, 1),
+    Condition("i", "m", "f0(d(m)) - d'(f1(m))"),
+    Condition("ii", "xy", "f0(l2(x,y)) - l2'(f0(x),f0(y)) - d'(f2(x,y))"),
+    Condition("iii", "xm", "f1(l2m(x,m)) - l2m'(f0(x),f1(m)) - f2(x,d(m))"),
+    Condition(
+        "iv",
+        "xyz",
+        "f2(l2(x,y),z) + f2(l2(y,z),x) + f2(l2(z,x),y) + f1(l3(x,y,z))"
+        " - l2m'(f0(x),f2(y,z)) - l2m'(f0(y),f2(z,x)) - l2m'(f0(z),f2(x,y)) - l3'(f0(x),f0(y),f0(z))",
+    ),
+)
 
 
 def validate_hom(f: Lie2Hom, g: Lie2Algebra, h: Lie2Algebra) -> ValidationReport:
-    eva, evb = _Ev(g), _Ev(h)
-    out: list[Violation] = []
-    n0, n1 = g.g0.dim, g.g1.dim
-
-    def f0(x):
-        return ml_apply(f.f0, [x])
-
-    def f1(m):
-        return ml_apply(f.f1, [m])
-
-    def f2(x, y):
-        return ml_apply(f.f2, [x, y])
-
-    for i, j in iter_product(range(n0), repeat=2):
-        defect = vec_add(f.f2.image_of_basis(i, j), f.f2.image_of_basis(j, i))
-        if not vec_is_zero(defect):
-            out.append(Violation("skew-f2", (i, j), defect))
-    for p in range(n1):
-        m = eva.b1[p]
-        defect = vec_sub(f0(eva.d(m)), evb.d(f1(m)))
-        if not vec_is_zero(defect):
-            out.append(Violation("i", (p,), defect))
-    for i, j in iter_product(range(n0), repeat=2):
-        x, y = eva.b0[i], eva.b0[j]
-        defect = vec_sub(
-            vec_sub(f0(eva.l2(x, y)), evb.l2(f0(x), f0(y))), evb.d(f2(x, y))
-        )
-        if not vec_is_zero(defect):
-            out.append(Violation("ii", (i, j), defect))
-    for i, p in iter_product(range(n0), range(n1)):
-        x, m = eva.b0[i], eva.b1[p]
-        defect = vec_sub(
-            vec_sub(f1(eva.l2m(x, m)), evb.l2m(f0(x), f1(m))), f2(x, eva.d(m))
-        )
-        if not vec_is_zero(defect):
-            out.append(Violation("iii", (i, p), defect))
-    for i, j, k in iter_product(range(n0), repeat=3):
-        x, y, z = eva.b0[i], eva.b0[j], eva.b0[k]
-        lhs = vec_add(
-            vec_add(f2(eva.l2(x, y), z), f2(eva.l2(y, z), x)),
-            vec_add(f2(eva.l2(z, x), y), f1(eva.l3(x, y, z))),
-        )
-        rhs = vec_add(
-            vec_add(evb.l2m(f0(x), f2(y, z)), evb.l2m(f0(y), f2(z, x))),
-            vec_add(evb.l2m(f0(z), f2(x, y)), evb.l3(f0(x), f0(y), f0(z))),
-        )
-        defect = vec_sub(lhs, rhs)
-        if not vec_is_zero(defect):
-            out.append(Violation("iv", (i, j, k), defect))
-    return make_report(out)
+    return check({**_named(g), **_named(h, "'"), "f0": f.f0, "f1": f.f1, "f2": f.f2}, _HOM_CONDITIONS)
 
 
 def rep_as_end_hom(g: Lie2Algebra, rep: Lie2Rep) -> tuple[Lie2Hom, EndAlgebra, ValidationReport]:

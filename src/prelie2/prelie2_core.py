@@ -10,18 +10,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iter_product
 
+from .identities import Condition, check, skew
 from .prelie_base import Cochain, PreLieAlgebra, PreLieRep, coboundary, validate_prelie, validate_prelie_rep
 from .report import InvalidStructureError, ValidationReport, Violation, make_report
 from .scalar_tensor import (
     MultiMap,
     Space,
-    Vector,
-    basis_vector,
     ml_apply,
     ml_compose_linear,
     vec_add,
     vec_is_zero,
-    vec_sub,
 )
 
 
@@ -63,179 +61,57 @@ def is_strict(a: PreLie2Algebra) -> bool:
     return a.l3.is_zero()
 
 
-class _Eval:
-    """Evaluation helpers over a structure, on arbitrary coefficient vectors."""
-
-    def __init__(self, a: PreLie2Algebra):
-        self.a = a
-        self.b0 = [basis_vector(a.a0, i) for i in range(a.a0.dim)]
-        self.b1 = [basis_vector(a.a1, p) for p in range(a.a1.dim)]
-
-    def d(self, m: Vector) -> Vector:
-        return ml_apply(self.a.dm, [m])
-
-    def m00(self, u, v):
-        return ml_apply(self.a.mul00, [u, v])
-
-    def m01(self, u, m):
-        return ml_apply(self.a.mul01, [u, m])
-
-    def m10(self, m, u):
-        return ml_apply(self.a.mul10, [m, u])
-
-    def l3(self, u, v, w):
-        return ml_apply(self.a.l3, [u, v, w])
+def _named(a: PreLie2Algebra, prime: str = "") -> dict[str, MultiMap]:
+    names = ("d", "m00", "m01", "m10", "l3")
+    return {n + prime: m for n, m in zip(names, (a.dm, a.mul00, a.mul01, a.mul10, a.l3))}
 
 
-def _cond_skew(ev: _Eval) -> list[Violation]:
-    a = ev.a
-    out = []
-    n0 = a.a0.dim
-    for i, j, k in iter_product(range(n0), repeat=3):
-        defect = vec_add(a.l3.image_of_basis(i, j, k), a.l3.image_of_basis(j, i, k))
-        if not vec_is_zero(defect):
-            out.append(Violation("skew-l3", (i, j, k), defect))
-    return out
-
-
-def _cond_a(ev: _Eval) -> list[Violation]:
-    a, out = ev.a, []
-    for i in range(a.a0.dim):
-        for p in range(a.a1.dim):
-            v, m = ev.b0[i], ev.b1[p]
-            d1 = vec_sub(ev.d(ev.m01(v, m)), ev.m00(v, ev.d(m)))
-            if not vec_is_zero(d1):
-                out.append(Violation("a1", (i, p), d1))
-            d2 = vec_sub(ev.d(ev.m10(m, v)), ev.m00(ev.d(m), v))
-            if not vec_is_zero(d2):
-                out.append(Violation("a2", (p, i), d2))
-    for p, q in iter_product(range(a.a1.dim), repeat=2):
-        m, n = ev.b1[p], ev.b1[q]
-        d3 = vec_sub(ev.m01(ev.d(m), n), ev.m10(m, ev.d(n)))
-        if not vec_is_zero(d3):
-            out.append(Violation("a3", (p, q), d3))
-    return out
-
-
-def _b_combo(ev: _Eval, x, y, z, mul_out, mul_in):
-    """x.(y.z) - (x.y).z - y.(x.z) + (y.x).z with the given outer/inner products."""
-    return vec_add(
-        vec_sub(mul_out(x, mul_in(y, z)), mul_in(ev.m00(x, y), z)),
-        vec_sub(mul_in(ev.m00(y, x), z), mul_out(y, mul_in(x, z))),
-    )
-
-
-def _cond_b(ev: _Eval) -> list[Violation]:
-    a, out = ev.a, []
-    n0, n1 = a.a0.dim, a.a1.dim
-    for i, j, k in iter_product(range(n0), repeat=3):
-        u, v, w = ev.b0[i], ev.b0[j], ev.b0[k]
-        lhs = _b_combo(ev, u, v, w, ev.m00, ev.m00)
-        defect = vec_sub(lhs, ev.d(ev.l3(u, v, w)))
-        if not vec_is_zero(defect):
-            out.append(Violation("b1", (i, j, k), defect))
-    for i, j, p in iter_product(range(n0), range(n0), range(n1)):
-        u, v, m = ev.b0[i], ev.b0[j], ev.b1[p]
-        lhs = _b_combo(ev, u, v, m, ev.m01, ev.m01)
-        defect = vec_sub(lhs, ev.l3(u, v, ev.d(m)))
-        if not vec_is_zero(defect):
-            out.append(Violation("b2", (i, j, p), defect))
-    for p, j, k in iter_product(range(n1), range(n0), range(n0)):
-        m, v, w = ev.b1[p], ev.b0[j], ev.b0[k]
-        # m.(v.w) - (m.v).w - v.(m.w) + (v.m).w = l3(dm m, v, w)
-        lhs = vec_add(
-            vec_sub(ev.m10(m, ev.m00(v, w)), ev.m10(ev.m10(m, v), w)),
-            vec_sub(ev.m10(ev.m01(v, m), w), ev.m01(v, ev.m10(m, w))),
-        )
-        defect = vec_sub(lhs, ev.l3(ev.d(m), v, w))
-        if not vec_is_zero(defect):
-            out.append(Violation("b3", (p, j, k), defect))
-    return out
-
-
-def _cond_c(ev: _Eval) -> list[Violation]:
-    a, out = ev.a, []
-    n0 = a.a0.dim
-    for i0, i1, i2, i3 in iter_product(range(n0), repeat=4):
-        v0, v1, v2, v3 = (ev.b0[t] for t in (i0, i1, i2, i3))
-        total = ev.m01(v0, ev.l3(v1, v2, v3))
-        total = vec_sub(total, ev.m01(v1, ev.l3(v0, v2, v3)))
-        total = vec_add(total, ev.m01(v2, ev.l3(v0, v1, v3)))
-        total = vec_add(total, ev.m10(ev.l3(v1, v2, v0), v3))
-        total = vec_sub(total, ev.m10(ev.l3(v0, v2, v1), v3))
-        total = vec_add(total, ev.m10(ev.l3(v0, v1, v2), v3))
-        total = vec_sub(total, ev.l3(v1, v2, ev.m00(v0, v3)))
-        total = vec_add(total, ev.l3(v0, v2, ev.m00(v1, v3)))
-        total = vec_sub(total, ev.l3(v0, v1, ev.m00(v2, v3)))
-        total = vec_sub(total, ev.l3(vec_sub(ev.m00(v0, v1), ev.m00(v1, v0)), v2, v3))
-        total = vec_add(total, ev.l3(vec_sub(ev.m00(v0, v2), ev.m00(v2, v0)), v1, v3))
-        total = vec_sub(total, ev.l3(vec_sub(ev.m00(v1, v2), ev.m00(v2, v1)), v0, v3))
-        if not vec_is_zero(total):
-            out.append(Violation("c", (i0, i1, i2, i3), total))
-    return out
+_AXIOMS = (
+    skew("skew-l3", "l3", "uvw", 0, 1),
+    Condition("a1", "um", "d(m01(u,m)) - m00(u,d(m))"),
+    Condition("a2", "mu", "d(m10(m,u)) - m00(d(m),u)"),
+    Condition("a3", "mn", "m01(d(m),n) - m10(m,d(n))"),
+    # x.(y.z) - (x.y).z - y.(x.z) + (y.x).z = dM l3(x, y, z), then with z in degree 1
+    Condition("b1", "uvw", "m00(u,m00(v,w)) - m00(m00(u,v),w) - m00(v,m00(u,w)) + m00(m00(v,u),w) - d(l3(u,v,w))"),
+    Condition("b2", "uvm", "m01(u,m01(v,m)) - m01(m00(u,v),m) - m01(v,m01(u,m)) + m01(m00(v,u),m) - l3(u,v,d(m))"),
+    # m.(v.w) - (m.v).w - v.(m.w) + (v.m).w = l3(dm m, v, w)
+    Condition("b3", "mvw", "m10(m,m00(v,w)) - m10(m10(m,v),w) - m01(v,m10(m,w)) + m10(m01(v,m),w) - l3(d(m),v,w)"),
+    Condition(
+        "c",
+        "wxyz",
+        "m01(w,l3(x,y,z)) - m01(x,l3(w,y,z)) + m01(y,l3(w,x,z))"
+        " + m10(l3(x,y,w),z) - m10(l3(w,y,x),z) + m10(l3(w,x,y),z)"
+        " - l3(x,y,m00(w,z)) + l3(w,y,m00(x,z)) - l3(w,x,m00(y,z))"
+        " - l3(m00(w,x),y,z) + l3(m00(x,w),y,z) + l3(m00(w,y),x,z)"
+        " - l3(m00(y,w),x,z) - l3(m00(x,y),w,z) + l3(m00(y,x),w,z)",
+    ),
+)
 
 
 def validate(a: PreLie2Algebra) -> ValidationReport:
     """Evaluate the seven condition families on every basis tuple."""
-    ev = _Eval(a)
-    families = (_cond_skew, _cond_a, _cond_b, _cond_c)
-    return make_report([v for family in families for v in family(ev)])
+    return check(_named(a), _AXIOMS)
+
+
+# Tensors of the target structure carry a prime.
+_HOM_CONDITIONS = (
+    Condition("i", "m", "f0(d(m)) - d'(f1(m))"),
+    Condition("ii", "uv", "f0(m00(u,v)) - m00'(f0(u),f0(v)) - d'(f2(u,v))"),
+    Condition("iii-a", "um", "f1(m01(u,m)) - m01'(f0(u),f1(m)) - f2(u,d(m))"),
+    Condition("iii-b", "mu", "f1(m10(m,u)) - m10'(f1(m),f0(u)) - f2(d(m),u)"),
+    Condition(
+        "iv",
+        "uvw",
+        "m01'(f0(u),f2(v,w)) - m01'(f0(v),f2(u,w)) + m10'(f2(v,u),f0(w)) - m10'(f2(u,v),f0(w))"
+        " - f2(v,m00(u,w)) + f2(u,m00(v,w)) - f2(m00(u,v),w) + f2(m00(v,u),w)"
+        " + l3'(f0(u),f0(v),f0(w)) - f1(l3(u,v,w))",
+    ),
+)
 
 
 def validate_hom(f: PreLie2Hom, a: PreLie2Algebra, b: PreLie2Algebra) -> ValidationReport:
     """Homomorphism conditions (i)-(iv); the final l3' argument is F0(w)."""
-    eva, evb = _Eval(a), _Eval(b)
-
-    def f0(u):
-        return ml_apply(f.f0, [u])
-
-    def f1(m):
-        return ml_apply(f.f1, [m])
-
-    def f2(u, v):
-        return ml_apply(f.f2, [u, v])
-
-    out: list[Violation] = []
-    n0, n1 = a.a0.dim, a.a1.dim
-    for p in range(n1):
-        m = eva.b1[p]
-        defect = vec_sub(f0(eva.d(m)), evb.d(f1(m)))
-        if not vec_is_zero(defect):
-            out.append(Violation("i", (p,), defect))
-    for i, j in iter_product(range(n0), repeat=2):
-        u, v = eva.b0[i], eva.b0[j]
-        defect = vec_sub(
-            vec_sub(f0(eva.m00(u, v)), evb.m00(f0(u), f0(v))), evb.d(f2(u, v))
-        )
-        if not vec_is_zero(defect):
-            out.append(Violation("ii", (i, j), defect))
-    for i, p in iter_product(range(n0), range(n1)):
-        u, m = eva.b0[i], eva.b1[p]
-        d1 = vec_sub(
-            vec_sub(f1(eva.m01(u, m)), evb.m01(f0(u), f1(m))), f2(u, eva.d(m))
-        )
-        if not vec_is_zero(d1):
-            out.append(Violation("iii-a", (i, p), d1))
-        d2 = vec_sub(
-            vec_sub(f1(eva.m10(m, u)), evb.m10(f1(m), f0(u))), f2(eva.d(m), u)
-        )
-        if not vec_is_zero(d2):
-            out.append(Violation("iii-b", (p, i), d2))
-    for i, j, k in iter_product(range(n0), repeat=3):
-        u, v, w = eva.b0[i], eva.b0[j], eva.b0[k]
-        total = evb.m01(f0(u), f2(v, w))
-        total = vec_sub(total, evb.m01(f0(v), f2(u, w)))
-        total = vec_add(total, evb.m10(f2(v, u), f0(w)))
-        total = vec_sub(total, evb.m10(f2(u, v), f0(w)))
-        total = vec_sub(total, f2(v, eva.m00(u, w)))
-        total = vec_add(total, f2(u, eva.m00(v, w)))
-        total = vec_sub(total, f2(eva.m00(u, v), w))
-        total = vec_add(total, f2(eva.m00(v, u), w))
-        total = vec_add(total, evb.l3(f0(u), f0(v), f0(w)))
-        total = vec_sub(total, f1(eva.l3(u, v, w)))
-        if not vec_is_zero(total):
-            out.append(Violation("iv", (i, j, k), total))
-    return make_report(out)
+    return check({**_named(a), **_named(b, "'"), "f0": f.f0, "f1": f.f1, "f2": f.f2}, _HOM_CONDITIONS)
 
 
 def identity_hom(a: PreLie2Algebra) -> PreLie2Hom:

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iter_product
 
+from .identities import Condition, check, skew, support
 from .report import InvalidStructureError, ValidationReport, Violation, make_report
 from .scalar_tensor import (
     ZERO,
@@ -20,7 +21,6 @@ from .scalar_tensor import (
     kernel_of_rows,
     ml_apply,
     vec_add,
-    vec_is_zero,
     vec_neg,
     vec_sub,
     zero_vector,
@@ -89,120 +89,60 @@ class InvariantForm:
 # -- validators --------------------------------------------------------------
 
 
+_ASSOC_SYM = (
+    Condition("assoc-sym", "xyz", "mul(mul(x,y),z) - mul(x,mul(y,z)) - mul(mul(y,x),z) + mul(y,mul(x,z))"),
+)
+
+
 def validate_prelie(a: PreLieAlgebra) -> ValidationReport:
     """Check associator symmetry (x,y,z) = (y,x,z) on every basis triple."""
-    n = a.space.dim
-    bas = [basis_vector(a.space, i) for i in range(n)]
-    out: list[Violation] = []
-    for i, j, k in iter_product(range(n), repeat=3):
-        lhs = vec_sub(
-            a.product(ml_apply(a.mul, [bas[i], bas[j]]), bas[k]),
-            a.product(bas[i], ml_apply(a.mul, [bas[j], bas[k]])),
-        )
-        rhs = vec_sub(
-            a.product(ml_apply(a.mul, [bas[j], bas[i]]), bas[k]),
-            a.product(bas[j], ml_apply(a.mul, [bas[i], bas[k]])),
-        )
-        defect = vec_sub(lhs, rhs)
-        if not vec_is_zero(defect):
-            out.append(Violation("assoc-sym", (i, j, k), defect))
-    return make_report(out)
+    return check({"mul": a.mul}, _ASSOC_SYM)
+
+
+_LIE = (
+    skew("antisym", "br", "xy", 0, 1),
+    Condition("jacobi", "xyz", "br(br(x,y),z) + br(br(y,z),x) + br(br(z,x),y)"),
+)
 
 
 def validate_lie(g: LieAlgebra) -> ValidationReport:
-    n = g.space.dim
-    bas = [basis_vector(g.space, i) for i in range(n)]
-    out: list[Violation] = []
-    for i, j in iter_product(range(n), repeat=2):
-        defect = vec_add(g.brk(bas[i], bas[j]), g.brk(bas[j], bas[i]))
-        if not vec_is_zero(defect):
-            out.append(Violation("antisym", (i, j), defect))
-    for i, j, k in iter_product(range(n), repeat=3):
-        defect = vec_add(
-            g.brk(g.brk(bas[i], bas[j]), bas[k]),
-            vec_add(
-                g.brk(g.brk(bas[j], bas[k]), bas[i]),
-                g.brk(g.brk(bas[k], bas[i]), bas[j]),
-            ),
-        )
-        if not vec_is_zero(defect):
-            out.append(Violation("jacobi", (i, j, k), defect))
-    return make_report(out)
+    return check({"br": g.bracket}, _LIE)
+
+
+_PRELIE_REP = (
+    Condition("rep-lie", "xyv", "rho(mul(x,y),v) - rho(mul(y,x),v) - rho(x,rho(y,v)) + rho(y,rho(x,v))"),
+    Condition("rep-mul", "xyv", "rho(x,mu(y,v)) - mu(y,rho(x,v)) - mu(mul(x,y),v) + mu(y,mu(x,v))"),
+)
 
 
 def validate_prelie_rep(a: PreLieAlgebra, rep: PreLieRep) -> ValidationReport:
     """rho must represent the sub-adjacent bracket; (rho, mu) must satisfy
     rho(x)mu(y) - mu(y)rho(x) = mu(x.y) - mu(y)mu(x)."""
-    na, nv = a.space.dim, rep.space.dim
-    ab = [basis_vector(a.space, i) for i in range(na)]
-    vb = [basis_vector(rep.space, i) for i in range(nv)]
-    out: list[Violation] = []
-
-    def rho(x, v):
-        return ml_apply(rep.rho, [x, v])
-
-    def mu(x, v):
-        return ml_apply(rep.mu, [x, v])
-
-    for i, j, u in iter_product(range(na), range(na), range(nv)):
-        x, y, v = ab[i], ab[j], vb[u]
-        bracket = vec_sub(ml_apply(a.mul, [x, y]), ml_apply(a.mul, [y, x]))
-        d1 = vec_sub(
-            rho(bracket, v), vec_sub(rho(x, rho(y, v)), rho(y, rho(x, v)))
-        )
-        if not vec_is_zero(d1):
-            out.append(Violation("rep-lie", (i, j, u), d1))
-        lhs = vec_sub(rho(x, mu(y, v)), mu(y, rho(x, v)))
-        rhs = vec_sub(mu(ml_apply(a.mul, [x, y]), v), mu(y, mu(x, v)))
-        d2 = vec_sub(lhs, rhs)
-        if not vec_is_zero(d2):
-            out.append(Violation("rep-mul", (i, j, u), d2))
-    return make_report(out)
+    return check({"mul": a.mul, "rho": rep.rho, "mu": rep.mu}, _PRELIE_REP)
 
 
 def validate_cochain(w: Cochain) -> ValidationReport:
     """Skewness in the first n-1 slots (pairwise swaps suffice)."""
-    out: list[Violation] = []
-    m = w.map
-    dims = [sp.dim for sp in m.inputs]
-    for a, b in combinations(range(max(w.n - 1, 0)), 2):
-        for idx in iter_product(*(range(d) for d in dims)):
-            swapped = list(idx)
-            swapped[a], swapped[b] = swapped[b], swapped[a]
-            defect = vec_add(m.image_of_basis(*idx), m.image_of_basis(*swapped))
-            if not vec_is_zero(defect):
-                out.append(Violation(f"skew-{a}{b}", idx, defect))
-    # adjacent-swap diagonal: a repeated entry in the skew block must map to 0
-    if w.n >= 3:
-        for idx in iter_product(*(range(d) for d in dims)):
-            if len(set(idx[: w.n - 1])) < w.n - 1:
-                img = m.image_of_basis(*idx)
-                if not vec_is_zero(img):
-                    # covered by the pairwise checks unless two slots repeat;
-                    # report distinctly for clarity
-                    if any(
-                        idx[a] == idx[b] for a, b in combinations(range(w.n - 1), 2)
-                    ):
-                        out.append(Violation("skew-diag", idx, img))
-    return make_report(out)
+    xs = [f"x{k}" for k in range(w.n)]
+    pairs = combinations(range(max(w.n - 1, 0)), 2)
+    report = check({"w": w.map}, [skew(f"skew-{a}{b}", "w", xs, a, b) for a, b in pairs])
+    # a repeated entry in the skew block must map to 0; reported distinctly for clarity
+    diagonal = [
+        Violation("skew-diag", idx, w.map.image_of_basis(*idx))
+        for idx in support(w.map)
+        if len(set(idx[: w.n - 1])) < w.n - 1
+    ]
+    return report.merged(make_report(diagonal))
+
+
+_FORM = (
+    skew("form-skew", "om", "xy", 0, 1),
+    Condition("form-invariance", "uvw", "om(mul(u,v),w) - om(mul(v,u),w) + om(v,mul(u,w))"),
+)
 
 
 def validate_invariant_form(a: PreLieAlgebra, form: InvariantForm) -> ValidationReport:
-    n = a.space.dim
-    bas = [basis_vector(a.space, i) for i in range(n)]
-    out: list[Violation] = []
-    om = form.omega
-    for i, j in iter_product(range(n), repeat=2):
-        s = ml_apply(om, [bas[i], bas[j]])[0] + ml_apply(om, [bas[j], bas[i]])[0]
-        if s != 0:
-            out.append(Violation("form-skew", (i, j), (s,)))
-    for i, j, k in iter_product(range(n), repeat=3):
-        u, v, w = bas[i], bas[j], bas[k]
-        commutator = vec_sub(ml_apply(a.mul, [u, v]), ml_apply(a.mul, [v, u]))
-        s = ml_apply(om, [commutator, w])[0] + ml_apply(om, [v, ml_apply(a.mul, [u, w])])[0]
-        if s != 0:
-            out.append(Violation("form-invariance", (i, j, k), (s,)))
-    return make_report(out)
+    return check({"mul": a.mul, "om": form.omega}, _FORM)
 
 
 # -- constructions -----------------------------------------------------------
