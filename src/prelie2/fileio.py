@@ -138,6 +138,10 @@ _SCHEMAS: dict[str, dict[str, tuple[str, tuple[str, ...]]]] = {
 
 KINDS = tuple(_SCHEMAS)
 
+# The library's cochains have arity at most 4.  Checking skewness takes
+# arity squared conditions even when the cochain is empty (dims.a = 0).
+MAX_COCHAIN_ARITY = 8
+
 
 def _dim_keys(kind: str) -> list[str]:
     slots = [slot for _, slot_keys in _SCHEMAS[kind].values() for slot in slot_keys]
@@ -184,6 +188,8 @@ def _parse_document(text: str) -> StructureFile:
     extra = set(dims) - set(keys)
     if extra:
         raise SchemaError(f"unexpected dims keys: {sorted(extra)}")
+    if kind == "cochain" and dims["arity"] > MAX_COCHAIN_ARITY:
+        raise SchemaError(f"dims.arity must be at most {MAX_COCHAIN_ARITY}")
     raw_tensors = doc.get("tensors")
     if not isinstance(raw_tensors, dict):
         raise SchemaError("missing tensors object")

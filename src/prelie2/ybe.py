@@ -175,7 +175,7 @@ def graded_cybe_check(
     if not is_strict_lie2(g):
         raise InvalidStructureError(
             "graded check needs a strict 2-algebra",
-            make_report([Violation("strict", (), (Fraction(1),))]),
+            make_report([Violation("strict", (), tuple(c for c in g.l3.coeffs if c))]),
         )
     flat, degrees = flatten_strict(g)
     n0, n1 = g.g0.dim, g.g1.dim
@@ -252,7 +252,7 @@ def dual_rep(g: Lie2Algebra, rep: Lie2Rep) -> Lie2Rep:
     if not is_strict_rep(rep):
         raise InvalidStructureError(
             "dual_rep needs a strict representation",
-            make_report([Violation("strict-rep", (), (Fraction(1),))]),
+            make_report([Violation("strict-rep", (), tuple(c for c in rep.rho2.coeffs if c))]),
         )
     v = rep.complex
     vd = dual_complex(v)
@@ -279,7 +279,7 @@ def solution_from_o_operator(
     if not (is_strict_lie2(g) and is_strict_rep(rep)):
         raise InvalidStructureError(
             "solution_from_o_operator needs a strict context",
-            make_report([Violation("strict", (), (Fraction(1),))]),
+            make_report([Violation("strict", (), tuple(c for m in (g.l3, rep.rho2) for c in m.coeffs if c))]),
         )
     v = ctx.complex
     dbl = semidirect_strict(g, dual_rep(g, rep))

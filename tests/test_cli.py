@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 
 from prelie2.cli import main
 from prelie2.fileio import (
+    MAX_COCHAIN_ARITY,
     SchemaError,
     file_from,
     parse_document,
@@ -240,6 +242,19 @@ def test_deeply_nested_json_exits_two_without_traceback(tmp_path, text):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "nested too deeply" in proc.stderr
+
+
+@pytest.mark.parametrize("arity", [MAX_COCHAIN_ARITY + 1, 600, 10**7])
+def test_cochain_arity_past_the_bound_exits_two_without_traceback(tmp_path, arity):
+    path = tmp_path / "wide.json"
+    doc = {"kind": "cochain", "dims": {"a": 0, "arity": arity, "v": 1}, "tensors": {"map": []}}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    proc = run_in_subprocess("verify", str(path))
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"at most {MAX_COCHAIN_ARITY}" in proc.stderr
 
 
 def test_rmatrix_schema_round_trip(tmp_path):

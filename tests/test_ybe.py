@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -8,6 +9,7 @@ from prelie2.fixtures import (
     fix_a,
     fix_b,
     fix_b_context,
+    fix_omega,
     lift_prelie,
     o_identity,
     o_negative_lower,
@@ -27,6 +29,7 @@ from prelie2.ybe import (
     canonical_solution,
     cybe_check,
     double_lie_algebra,
+    dual_rep,
     flatten_strict,
     graded_cybe_check,
     is_lie_rep,
@@ -190,6 +193,28 @@ def test_canonical_solution_rejects_nonstrict():
 
     with pytest.raises(InvalidStructureError):
         canonical_solution(fix_omega())
+
+
+def test_strictness_guards_carry_the_nonzero_entries():
+    # FIX-OMEGA's image has l3 = 0; its rho2 = -l3 of FIX-OMEGA has the entries -1, 1
+    g, rep = from_prelie2(fix_omega())
+    v = rep.complex
+    with pytest.raises(InvalidStructureError) as info:
+        dual_rep(g, rep)
+    assert info.value.report.violations[0].defect == (Fraction(-1), Fraction(1))
+    with pytest.raises(InvalidStructureError) as info:
+        solution_from_o_operator(MultiMap.identity(v.v0), MultiMap.identity(v.v1), OOperatorContext(g, rep))
+    (strict,) = info.value.report.violations
+    assert (strict.condition, strict.where, strict.defect) == ("strict", (), (Fraction(-1), Fraction(1)))
+    strict_g = zero_lie2(Space(2, "g0"), Space(1, "g1"))
+    coeffs = [Fraction(0)] * 8
+    coeffs[1], coeffs[6] = Fraction(2), Fraction(-3)
+    bad = replace(strict_g, l3=MultiMap(strict_g.l3.inputs, strict_g.g1, tuple(coeffs)))
+    flat, degrees = flatten_strict(strict_g)
+    with pytest.raises(InvalidStructureError) as info:
+        graded_cybe_check(Tensor2Element(flat, zero_matrix(3), degrees), None, bad)
+    (strict,) = info.value.report.violations
+    assert (strict.condition, strict.defect) == ("strict", (Fraction(2), Fraction(-3)))
 
 
 def test_solution_biconditional_positive_and_negative():
