@@ -10,7 +10,6 @@ into the computed End(V).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .graded_spaces import EndAlgebra, TwoTermComplex, end_algebra
 from .identities import Condition, check, skew
@@ -77,17 +76,8 @@ def zero_lie2(g0: Space, g1: Space) -> Lie2Algebra:
 
 
 def _named(g: Lie2Algebra, prime: str = "") -> dict[str, MultiMap]:
-    return {"d" + prime: g.dk, "l2" + prime: g.l2_00, "l2m" + prime: g.l2_01, "l3" + prime: g.l3}
-
-
-def _jacobiator_identity() -> str:
-    """sum_i (-1)^i l2(x_i, l3(the rest)) + sum_{i<j} (-1)^(i+j+1) l3(l2(x_i, x_j), the rest)."""
-    xs = "wxyz"
-    terms = [f"{'+-'[i % 2]} l2m({xs[i]},l3({','.join(xs[:i] + xs[i + 1 :])}))" for i in range(4)]
-    for i, j in combinations(range(4), 2):
-        rest = ",".join(x for t, x in enumerate(xs) if t not in (i, j))
-        terms.append(f"{'-+'[(i + j) % 2]} l3(l2({xs[i]},{xs[j]}),{rest})")
-    return " ".join(terms)
+    tensors = {"d": g.dk, "l2": g.l2_00, "l2m": g.l2_01, "l3": g.l3}
+    return {name + prime: m for name, m in tensors.items()}
 
 
 _AXIOMS = (
@@ -99,7 +89,14 @@ _AXIOMS = (
     Condition("ii", "xyz", "d(l3(x,y,z)) - l2(x,l2(y,z)) - l2(y,l2(z,x)) - l2(z,l2(x,y))"),
     # l2(y, l2(m, x)) = l2(y, -l2(x, m)); l2(m, l2(x, y)) = -l2(l2(x, y), m)
     Condition("iii", "xym", "l3(x,y,d(m)) - l2m(x,l2m(y,m)) + l2m(y,l2m(x,m)) + l2m(l2(x,y),m)"),
-    Condition("iv", "wxyz", _jacobiator_identity()),
+    # sum_i (-1)^i l2(x_i, l3(the rest)) + sum_{i<j} (-1)^(i+j+1) l3(l2(x_i, x_j), the rest)
+    Condition(
+        "iv",
+        "wxyz",
+        "l2m(w,l3(x,y,z)) - l2m(x,l3(w,y,z)) + l2m(y,l3(w,x,z)) - l2m(z,l3(w,x,y))"
+        " + l3(l2(w,x),y,z) - l3(l2(w,y),x,z) + l3(l2(w,z),x,y)"
+        " + l3(l2(x,y),w,z) - l3(l2(x,z),w,y) + l3(l2(y,z),w,x)",
+    ),
 )
 
 

@@ -62,8 +62,8 @@ def is_strict(a: PreLie2Algebra) -> bool:
 
 
 def _named(a: PreLie2Algebra, prime: str = "") -> dict[str, MultiMap]:
-    names = ("d", "m00", "m01", "m10", "l3")
-    return {n + prime: m for n, m in zip(names, (a.dm, a.mul00, a.mul01, a.mul10, a.l3))}
+    tensors = {"d": a.dm, "m00": a.mul00, "m01": a.mul01, "m10": a.mul10, "l3": a.l3}
+    return {name + prime: m for name, m in tensors.items()}
 
 
 _AXIOMS = (

@@ -1,0 +1,71 @@
+from fractions import Fraction
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from prelie2.identities import Condition, check, parse_terms, skew
+from prelie2.lie2_core import Lie2Hom, validate_hom, zero_lie2
+from prelie2.scalar_tensor import DimensionMismatch, MultiMap, Space, basis_vector, ml_apply, vec_add, vec_neg
+
+
+def test_parse_terms():
+    assert parse_terms("d(m01(u,m)) - m00(u, d(m))") == (
+        (1, ("d", ("m01", "u", "m"))),
+        (-1, ("m00", "u", ("d", "m"))),
+    )
+    assert parse_terms("-l3'(f0(x),y,z)") == ((-1, ("l3'", ("f0", "x"), "y", "z")),)
+    for bad in ("d(m", "d(m) m00(u,v)", "d(,m)", "d(m)) + x", "+"):
+        with pytest.raises(ValueError):
+            parse_terms(bad)
+
+
+def test_every_term_uses_each_variable_once():
+    with pytest.raises(ValueError):
+        Condition("bad", "xy", "m(x,y) - m(x,x)")
+    with pytest.raises(ValueError):
+        Condition("bad", "xy", "m(x,y) - d(x)")
+    assert skew("s", "m", "xyz", 1, 2).terms == ((1, ("m", "x", "y", "z")), (1, ("m", "x", "z", "y")))
+
+
+def test_dimension_checks_at_every_level():
+    a, b = Space(2, "a"), Space(3, "b")
+    mul = MultiMap.zero((a, a), a)
+    with pytest.raises(DimensionMismatch):  # d(x) has 3 entries, mul's slot takes 2
+        check({"mul": mul, "d": MultiMap.zero((a,), b)}, [Condition("c", "xy", "mul(d(x),y)")])
+    with pytest.raises(DimensionMismatch):  # x fills a slot of dim 2 and one of dim 3
+        check({"mul": mul, "e": MultiMap.zero((b, a), a)}, [Condition("c", "xy", "mul(x,y) - e(x,y)")])
+    with pytest.raises(DimensionMismatch):
+        check({"mul": mul}, [Condition("c", "x", "mul(x)")])
+    g, h = zero_lie2(a, a), zero_lie2(b, a)
+    f = Lie2Hom(MultiMap.identity(a), MultiMap.identity(a), MultiMap.zero((a, a), a))
+    with pytest.raises(DimensionMismatch):  # f0 maps into a 2-dim space, h's bracket takes 3
+        validate_hom(f, g, h)
+
+
+def _by_basis_tuples(mul, d, n0, n1):
+    """The defects of "mul(d(m),mul(x,y)) - mul(mul(d(m),x),y)" by ml_apply on every basis tuple."""
+    out = []
+    for p, i, j in product(range(n1), range(n0), range(n0)):
+        m, x, y = basis_vector(n1, p), basis_vector(n0, i), basis_vector(n0, j)
+        dm = ml_apply(d, [m])
+        lhs = ml_apply(mul, [dm, ml_apply(mul, [x, y])])
+        defect = vec_add(lhs, vec_neg(ml_apply(mul, [ml_apply(mul, [dm, x]), y])))
+        if any(defect):
+            out.append(("assoc", (p, i, j), defect))
+    return out
+
+
+sparse = st.sampled_from([Fraction(0)] * 4 + [Fraction(1), Fraction(-2), Fraction(1, 3)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n0=st.integers(0, 3), n1=st.integers(0, 3))
+def test_contraction_equals_evaluation_on_basis_tuples(data, n0, n1):
+    a, b = Space(n0, "a"), Space(n1, "b")
+    mul = MultiMap((a, a), a, tuple(data.draw(st.lists(sparse, min_size=n0**3, max_size=n0**3))))
+    d = MultiMap((b,), a, tuple(data.draw(st.lists(sparse, min_size=n0 * n1, max_size=n0 * n1))))
+    report = check({"mul": mul, "d": d}, [Condition("assoc", "mxy", "mul(d(m),mul(x,y)) - mul(mul(d(m),x),y)")])
+    assert [(v.condition, v.where, v.defect) for v in report.violations] == _by_basis_tuples(mul, d, n0, n1)
+    assert all(type(x) is Fraction for v in report.violations for x in v.defect)
