@@ -230,15 +230,21 @@ def hom_S(phi: CatHom, c: CatPreLie2, d: CatPreLie2) -> PreLie2Hom:
 # -- general presentations and the comparison isomorphism ---------------------
 
 
+def _difference(x: MultiMap, y: MultiMap) -> tuple[Fraction, ...]:
+    """The nonzero entries of x - y, row-major: the defect of x = y."""
+    return tuple(a - b for a, b in zip(x.coeffs, y.coeffs) if a != b)
+
+
 def split_presentation(raw: RawCatPreLie2) -> tuple[CatPreLie2, MultiMap]:
     """Canonical splitting of a presentation: kernel basis from s, shear off
     the units.  Returns the split structure and the morphism-space
     isomorphism from split coordinates onto the raw basis."""
     bad: list[Violation] = []
-    if ml_compose_linear(raw.smap, raw.unit) != MultiMap.identity(raw.obj):
-        bad.append(Violation("s-unit", (), (Fraction(1),)))
-    if ml_compose_linear(raw.tmap, raw.unit) != MultiMap.identity(raw.obj):
-        bad.append(Violation("t-unit", (), (Fraction(1),)))
+    identity = MultiMap.identity(raw.obj)
+    for label, end in (("s-unit", raw.smap), ("t-unit", raw.tmap)):
+        composite = ml_compose_linear(end, raw.unit)
+        if composite != identity:
+            bad.append(Violation(label, (), _difference(composite, identity)))
     kernel = nullspace(raw.smap)
     if len(kernel) != raw.mor.dim - raw.obj.dim:
         bad.append(Violation("s-rank", (), (Fraction(len(kernel)),)))
@@ -334,15 +340,16 @@ def alpha_iso(c: CatPreLie2 | RawCatPreLie2) -> AlphaIso:
     nm = sp.mor.dim
     smap_split = MultiMap.build((sp.mor,), c.obj, lambda i: sp.source(basis_vector(nm, i)))
     tmap_split = MultiMap.build((sp.mor,), c.obj, lambda i: sp.target(basis_vector(nm, i)))
-    if ml_compose_linear(c.smap, alpha1) != smap_split:
-        out.append(Violation("alpha-s", (), (Fraction(1),)))
-    if ml_compose_linear(c.tmap, alpha1) != tmap_split:
-        out.append(Violation("alpha-t", (), (Fraction(1),)))
     unit_split = MultiMap.build(
         (c.obj,), sp.mor, lambda i: sp.embed0(basis_vector(c.obj, i))
     )
-    if ml_compose_linear(alpha1, unit_split) != c.unit:
-        out.append(Violation("alpha-unit", (), (Fraction(1),)))
+    for label, lhs, rhs in (
+        ("alpha-s", ml_compose_linear(c.smap, alpha1), smap_split),
+        ("alpha-t", ml_compose_linear(c.tmap, alpha1), tmap_split),
+        ("alpha-unit", ml_compose_linear(alpha1, unit_split), c.unit),
+    ):
+        if lhs != rhs:
+            out.append(Violation(label, (), _difference(lhs, rhs)))
     for i, j in iter_product(range(nm), repeat=2):
         f = basis_vector(nm, i)
         g = basis_vector(nm, j)

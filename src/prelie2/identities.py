@@ -8,6 +8,12 @@ a basis tuple is the sum of its terms on the basis vectors the tuple names.
 It is computed by contracting the nonzero entries of each tensor, so the
 cost follows the nonzero entries and not the number of basis tuples.  One
 ``Violation`` is reported per basis tuple with a nonzero defect.
+
+The contraction runs over Python ints: each tensor's entries are read as
+numerators over the lcm of their denominators, a value carries the product
+of the lcms of the tensors it applies as its scale, and a condition's terms
+are brought to one common scale before they are summed.  Only a nonzero
+defect is turned back into ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -16,10 +22,11 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
+from math import lcm
 from typing import Mapping, Sequence
 
 from .report import ValidationReport, Violation, make_report
-from .scalar_tensor import ZERO, DimensionMismatch, MultiMap
+from .scalar_tensor import DimensionMismatch, MultiMap
 
 Term = tuple[int, tuple]  # (sign, (tensor name, *arguments)); an argument is a name or a tuple
 
@@ -106,10 +113,19 @@ def support(m: MultiMap) -> dict[tuple[int, ...], list[tuple[int, Fraction]]]:
     return out
 
 
+def _scaled_support(m: MultiMap) -> tuple[dict[tuple[int, ...], list[tuple[int, int]]], int]:
+    """The nonzero entries of ``m`` as integer numerators over the lcm of
+    their denominators, and that lcm."""
+    rows = support(m)
+    d = lcm(*(c.denominator for row in rows.values() for _, c in row))
+    return {idx: [(j, c.numerator * (d // c.denominator)) for j, c in row] for idx, row in rows.items()}, d
+
+
 def _evaluate(expr: tuple, tensors: Mapping[str, MultiMap], supports: dict, memo: dict):
-    """(slot dimension of each variable, {assignment: {j: value}}, output
-    dimension) of an expression shape; an assignment lists the basis indices
-    of the variables in order of appearance."""
+    """(slot dimension of each variable, {assignment: {j: numerator}},
+    output dimension, scale) of an expression shape; an assignment lists the
+    basis indices of the variables in order of appearance, and each value is
+    its numerator over the scale."""
     if expr in memo:
         return memo[expr]
     name, *args = expr
@@ -117,7 +133,8 @@ def _evaluate(expr: tuple, tensors: Mapping[str, MultiMap], supports: dict, memo
     if len(args) != m.arity:
         raise DimensionMismatch(f"{name} takes {m.arity} arguments, got {len(args)}")
     if name not in supports:
-        supports[name] = support(m)
+        supports[name] = _scaled_support(m)
+    rows, scale = supports[name]
     dims: list[int] = []
     by_out = []  # per slot: basis index -> [(assignment, value)]
     for slot, (arg, sp) in enumerate(zip(args, m.inputs)):
@@ -125,18 +142,19 @@ def _evaluate(expr: tuple, tensors: Mapping[str, MultiMap], supports: dict, memo
             dims.append(sp.dim)
             by_out.append([[((i,), 1)] for i in range(sp.dim)])
             continue
-        sub_dims, values, n = _evaluate(arg, tensors, supports, memo)
+        sub_dims, values, n, sub_scale = _evaluate(arg, tensors, supports, memo)
         if n != sp.dim:
             raise DimensionMismatch(f"argument {slot} of {name} has {n} entries, expected {sp.dim}", slot=slot)
         dims += sub_dims
+        scale *= sub_scale
         lists: list[list] = [[] for _ in range(n)]
         for assign, vec in values.items():
             for j, x in vec.items():
                 if x:
                     lists[j].append((assign, x))
         by_out.append(lists)
-    values: dict[tuple[int, ...], dict[int, Fraction]] = {}
-    for idx, row in supports[name].items():
+    values: dict[tuple[int, ...], dict[int, int]] = {}
+    for idx, row in rows.items():
         for combo in iter_product(*(by_out[s][i] for s, i in enumerate(idx))):
             assign, w = (), 1
             for a, x in combo:
@@ -144,39 +162,44 @@ def _evaluate(expr: tuple, tensors: Mapping[str, MultiMap], supports: dict, memo
                 w *= x
             vec = values.setdefault(assign, {})
             for j, c in row:
-                vec[j] = vec.get(j, ZERO) + w * c
-    memo[expr] = dims, values, m.output.dim
+                vec[j] = vec.get(j, 0) + w * c
+    memo[expr] = dims, values, m.output.dim, scale
     return memo[expr]
 
 
 def check(tensors: Mapping[str, MultiMap], conditions: Sequence[Condition]) -> ValidationReport:
     """Evaluate every condition on every basis tuple of its variables."""
-    supports: dict[str, dict] = {}  # tensor name -> its nonzero entries
+    supports: dict[str, tuple] = {}  # tensor name -> its scaled nonzero entries
     memo: dict[tuple, tuple] = {}  # expression shape -> its value
     out: list[Violation] = []
     for cond in conditions:
         var_dims: dict[str, int] = {}
-        total: dict[tuple[int, ...], dict[int, Fraction]] = {}
+        terms = []
         n_out = None
         for sign, expr in cond.terms:
             names: list[str] = []
-            dims, values, n = _evaluate(_shape(expr, names), tensors, supports, memo)
+            dims, values, n, scale = _evaluate(_shape(expr, names), tensors, supports, memo)
             for v, d in zip(names, dims):
                 if var_dims.setdefault(v, d) != d:
                     raise DimensionMismatch(f"{cond.label}: {v} fills slots of dimension {var_dims[v]} and {d}")
             if n_out is not None and n != n_out:
                 raise DimensionMismatch(f"{cond.label}: terms have {n_out} and {n} entries")
             n_out = n
+            terms.append((sign, names, values, scale))
+        common = lcm(*(scale for *_, scale in terms))
+        total: dict[tuple[int, ...], dict[int, int]] = {}
+        for sign, names, values, scale in terms:
+            factor = sign * (common // scale)
             perm = [names.index(v) for v in cond.variables]
             for assign, vec in values.items():
                 acc = total.setdefault(tuple(assign[k] for k in perm), {})
                 for j, x in vec.items():
-                    acc[j] = acc.get(j, ZERO) + sign * x
+                    acc[j] = acc.get(j, 0) + factor * x
         shift = cond.shift or (0,) * len(cond.variables)
         for where in sorted(total):
             vec = total[where]
             if any(vec.values()):
                 where = tuple(i + s for i, s in zip(where, shift))
-                defect = tuple(vec.get(j, ZERO) for j in range(n_out))
+                defect = tuple(Fraction(vec.get(j, 0), common) for j in range(n_out))
                 out.append(Violation(cond.label, where, defect, cond.derived))
     return make_report(out)

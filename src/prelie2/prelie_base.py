@@ -273,7 +273,7 @@ def cocycle_from_form(a: PreLieAlgebra, form: InvariantForm) -> Cochain:
     if not d.map.is_zero():
         raise InvalidStructureError(
             "induced 3-cochain is not closed",
-            make_report([Violation("cocycle", (), (Fraction(1),))]),
+            make_report([Violation("cocycle", (), tuple(c for c in d.map.coeffs if c))]),
         )
     return cochain
 

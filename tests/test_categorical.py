@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from itertools import product
 
@@ -12,6 +13,7 @@ from prelie2.categorical import (
     hom_S,
     hom_T,
     rebase_cat,
+    split_presentation,
     validate_cat,
 )
 from prelie2.fixtures import fix_b, fix_c, fix_omega, prelie2_fixtures
@@ -172,6 +174,20 @@ def test_alpha_on_sheared_presentation():
     raw = rebase_cat(c, w)
     iso = alpha_iso(raw)
     assert iso.ok
+
+
+def test_unit_guards_carry_the_nonzero_entries():
+    # s∘(2·unit) − id = t∘(2·unit) − id = id on the 2-dim object space
+    c = functor_T(fix_b())
+    nm = c.space.mor.dim
+    w = MultiMap.build((c.space.mor,), c.space.mor, lambda i: basis_vector(nm, (i + 1) % nm))
+    raw = rebase_cat(c, w)
+    with pytest.raises(InvalidStructureError) as exc:
+        split_presentation(dataclasses.replace(raw, unit=raw.unit.scaled(2)))
+    assert [(v.condition, v.where, v.defect) for v in exc.value.report.violations] == [
+        ("s-unit", (), (Fraction(1), Fraction(1))),
+        ("t-unit", (), (Fraction(1), Fraction(1))),
+    ]
 
 
 def test_coherence_certified_through_extraction():

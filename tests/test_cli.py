@@ -7,9 +7,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from prelie2.cli import main
 from prelie2.fileio import (
+    KINDS,
     MAX_COCHAIN_ARITY,
     SchemaError,
     file_from,
@@ -272,3 +275,38 @@ def test_stale_workers_env_var_is_ignored(fixture_dir, monkeypatch, capsys):
     monkeypatch.setenv("PRELIE2_WORKERS", "abc")
     assert run("verify", str(fixture_dir / "fix_b.json")) == 0
     assert run("verify", str(fixture_dir / "mutants/fix_b_mutant.json")) == 1
+
+
+def _edit(data, doc: dict) -> str:
+    """``doc`` with one drawn edit, as the text of a file."""
+    edit = data.draw(st.sampled_from(["drop", "dim", "entry", "kind", "truncate"]))
+    if edit == "drop":
+        owner = data.draw(st.sampled_from([doc, doc["dims"], doc["tensors"]]))
+        del owner[data.draw(st.sampled_from(sorted(owner)))]
+    elif edit == "dim":
+        key = data.draw(st.sampled_from(sorted(doc["dims"])))
+        doc["dims"][key] += data.draw(st.sampled_from([-1, 1]))
+    elif edit == "entry":
+        node = doc["tensors"][data.draw(st.sampled_from(sorted(doc["tensors"])))]
+        while node and isinstance(node[0], list):
+            node = node[data.draw(st.integers(0, len(node) - 1))]
+        if node:  # a wrong value, malformed literals, a bool, a nested list, an overlong literal
+            entry = data.draw(st.sampled_from(["7", "1/0", "x", "1.5", "", True, [["1"]], LONG_DIGITS]))
+            node[data.draw(st.integers(0, len(node) - 1))] = entry
+    elif edit == "kind":
+        doc["kind"] = data.draw(st.sampled_from([k for k in KINDS if k != doc["kind"]]))
+    text = json.dumps(doc)
+    if edit == "truncate":
+        text = text[: data.draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), name=st.sampled_from(SHIPPED))
+def test_edited_fixtures_exit_zero_one_or_two(data, name, fixture_dir, tmp_path):
+    path = tmp_path / "edited.json"
+    path.write_text(_edit(data, json.loads((fixture_dir / name).read_text())), encoding="utf-8")
+    for argv in (["verify", str(path)], ["report", str(path), "--format", "json"]):
+        start = time.perf_counter()
+        assert run(*argv) in (0, 1, 2)
+        assert time.perf_counter() - start < 5

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -69,3 +70,63 @@ def test_contraction_equals_evaluation_on_basis_tuples(data, n0, n1):
     report = check({"mul": mul, "d": d}, [Condition("assoc", "mxy", "mul(d(m),mul(x,y)) - mul(mul(d(m),x),y)")])
     assert [(v.condition, v.where, v.defect) for v in report.violations] == _by_basis_tuples(mul, d, n0, n1)
     assert all(type(x) is Fraction for v in report.violations for x in v.defect)
+
+
+mixed = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(
+        Fraction,
+        st.one_of(st.integers(-4, 4), st.sampled_from([2**64 + 1, -(2**65) + 3, 3**47])),
+        st.sampled_from([1, 2, 3, 5, 7, 12]),
+    ),
+)
+MIXED = Condition("mixed", "mxy", "p(d(m),q(x,y)) - q(p(d(m),x),y) + r(m,x,y)")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n0=st.integers(1, 2), n1=st.integers(1, 2))
+def test_terms_of_different_scales_are_summed_exactly(data, n0, n1):
+    a, b = Space(n0, "a"), Space(n1, "b")
+
+    def draw(inputs, output):
+        size = output.dim
+        for sp in inputs:
+            size *= sp.dim
+        return MultiMap(inputs, output, tuple(data.draw(st.lists(mixed, min_size=size, max_size=size))))
+
+    p, q, r, d = draw((a, a), a), draw((a, a), a), draw((b, a, a), a), draw((b,), a)
+    report = check({"p": p, "q": q, "r": r, "d": d}, [MIXED])
+    expected = []
+    for i, j, k in product(range(n1), range(n0), range(n0)):
+        m, x, y = basis_vector(n1, i), basis_vector(n0, j), basis_vector(n0, k)
+        dm = ml_apply(d, [m])
+        lhs = vec_add(ml_apply(p, [dm, ml_apply(q, [x, y])]), ml_apply(r, [m, x, y]))
+        defect = vec_add(lhs, vec_neg(ml_apply(q, [ml_apply(p, [dm, x]), y])))
+        if any(defect):
+            expected.append(("mixed", (i, j, k), defect))
+    assert [(v.condition, v.where, v.defect) for v in report.violations] == expected
+    assert all(
+        type(x) is Fraction and x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
+        for v in report.violations
+        for x in v.defect
+    )
+
+
+def _scaled_pair(h, k):
+    """s(h(x)) - s(k(x)) with s = (1, 1): the terms' scales are those of h and k."""
+    one, two = Space(1, "one"), Space(2, "two")
+    tensors = {
+        "s": MultiMap((two,), one, (Fraction(1), Fraction(1))),
+        "h": MultiMap((one,), two, h),
+        "k": MultiMap((one,), two, k),
+    }
+    return check(tensors, [Condition("c", "x", "s(h(x)) - s(k(x))")])
+
+
+def test_terms_of_scales_two_and_three_cancel():
+    assert _scaled_pair((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 3))).ok
+
+
+def test_terms_of_scales_two_and_three_leave_a_sixth():
+    report = _scaled_pair((Fraction(1, 2), Fraction(0)), (Fraction(1, 3), Fraction(0)))
+    assert [(v.where, v.defect) for v in report.violations] == [((0,), (Fraction(1, 6),))]
