@@ -363,28 +363,46 @@ def reference_validate_o(t: OOperator):
     return make_report(out)
 
 
-def test_validate_o_matches_reference_loops_on_random_triples():
+def test_validate_o_matches_reference_loops_on_random_triples(dim3_operators):
     rng = random.Random(20261018)
-    reports = []
-    for make in SEARCH_CONTEXTS.values():
-        ctx = context_of(make)
+
+    def entries(n):
+        return tuple(Fraction(rng.randint(-2, 2)) for _ in range(n))
+
+    def skew_entries(n0, d1):
+        coeffs = [Fraction(0)] * (n0 * n0 * d1)
+        for i, j, b in product(range(n0), range(n0), range(d1)):
+            if i < j:
+                coeffs[(i * n0 + j) * d1 + b] = Fraction(rng.randint(-2, 2))
+                coeffs[(j * n0 + i) * d1 + b] = -coeffs[(i * n0 + j) * d1 + b]
+        return tuple(coeffs)
+
+    # the dim-2 contexts take any T2; on them (iii) fails only for a T2 that
+    # is not skew, so the skeletal dim-3 context takes skew T2 draws
+    draws = [(context_of(make), 34, False) for make in SEARCH_CONTEXTS.values()]
+    draws.append((dim3_operators[1][0].context, 12, True))
+    reports, skew_reports = [], []
+    for ctx, count, skew_t2 in draws:
         v, g = ctx.complex, ctx.algebra
-
-        def entries(n):
-            return tuple(Fraction(rng.randint(-2, 2)) for _ in range(n))
-
-        for _ in range(34):
+        for _ in range(count):
             t = OOperator(
                 ctx,
                 MultiMap((v.v0,), g.g0, entries(v.v0.dim * g.g0.dim)),
                 MultiMap((v.v1,), g.g1, entries(v.v1.dim * g.g1.dim)),
-                MultiMap((v.v0, v.v0), g.g1, entries(v.v0.dim**2 * g.g1.dim)),
+                MultiMap(
+                    (v.v0, v.v0),
+                    g.g1,
+                    skew_entries(v.v0.dim, g.g1.dim) if skew_t2 else entries(v.v0.dim**2 * g.g1.dim),
+                ),
             )
             report = validate_o(t)
             assert report == reference_validate_o(t)
             reports.append(report)
-    # the draws reach every condition family
+            if "skew-t2" not in report.conditions():
+                skew_reports.append(report)
+    # the draws reach every condition family, and (iii) with a skew T2
     assert {c for r in reports for c in r.conditions()} == {"chain", "skew-t2", "i", "ii", "iii"}
+    assert any("iii" in r.conditions() for r in skew_reports)
 
 
 def iii_via_induced_products(t: OOperator):

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -16,6 +17,7 @@ from prelie2.fixtures import (
     o_negative_scaled,
     o_nontrivial,
     omega_algebra,
+    prelie2_fixtures,
 )
 from prelie2.lie2_core import from_prelie2, validate_rep, zero_lie2
 from prelie2.o_operators import OOperatorContext, validate_o
@@ -362,3 +364,91 @@ def test_bridge_equivalence_accounts_for_skewness():
     assert not res["dm_skew"]
     # forward implication is all that is claimed without skewness
     assert res["equivalence"] == ((not res["prelie2_report"].ok) or res["lie2_report"].ok)
+
+
+# -- cybe_check and is_lie_rep against loops written here ------------------------
+
+
+def reference_cybe_check(r: Tensor2Element):
+    """The structure-constant contraction as a dense loop over (k, l, m) and
+    (p, q), as the checker once did."""
+    from prelie2.report import Violation, make_report
+
+    n = r.base.space.dim
+    rc = r.coeffs
+    c = {(p, q): r.base.bracket.image_of_basis(p, q) for p, q in product(range(n), repeat=2)}
+    out = []
+    for k, l, m in product(range(n), repeat=3):
+        total = Fraction(0)
+        for p, q in product(range(n), repeat=2):
+            cpq = c[p, q]
+            if cpq[k]:
+                total += rc[p][l] * rc[q][m] * cpq[k]
+            if cpq[l]:
+                total += rc[k][p] * rc[q][m] * cpq[l]
+            if cpq[m]:
+                total += rc[k][p] * rc[l][q] * cpq[m]
+        if total != 0:
+            out.append(Violation("cybe", (k, l, m), (total,)))
+    return make_report(out)
+
+
+def strict_canonical_solutions():
+    out = {name: canonical_solution(fx)[0] for name, fx in prelie2_fixtures().items() if fx.l3.is_zero()}
+    out["FIX-A lifted"] = canonical_solution(lift_prelie(fix_a()))[0]
+    return out
+
+
+def test_cybe_check_matches_reference_loop_on_canonical_solutions_and_perturbations():
+    rng = random.Random(20261018)
+    failing, fractional = 0, False
+    for name, r in strict_canonical_solutions().items():
+        assert cybe_check(r) == reference_cybe_check(r), name
+        assert cybe_check(r).ok, name
+        n = r.base.space.dim
+        for _ in range(4):
+            grid = [list(row) for row in r.coeffs]
+            for _ in range(rng.randint(1, 3)):
+                k, l = rng.randrange(n), rng.randrange(n)
+                grid[k][l] += random_fraction(rng, 3)
+                fractional |= grid[k][l].denominator > 1
+            bumped_r = Tensor2Element(r.base, tuple(tuple(row) for row in grid), r.degrees)
+            report = cybe_check(bumped_r)
+            assert report == reference_cybe_check(bumped_r), name
+            failing += not report.ok
+    assert failing >= 10 and fractional
+
+
+def reference_is_lie_rep(g: LieAlgebra, rep: LieRep) -> bool:
+    for i, j, u in product(range(g.space.dim), range(g.space.dim), range(rep.space.dim)):
+        x, y, v = basis_vector(g.space, i), basis_vector(g.space, j), basis_vector(rep.space, u)
+        lhs = ml_apply(rep.rho, [g.brk(x, y), v])
+        rhs = vec_sub(
+            ml_apply(rep.rho, [x, ml_apply(rep.rho, [y, v])]),
+            ml_apply(rep.rho, [y, ml_apply(rep.rho, [x, v])]),
+        )
+        if lhs != rhs:
+            return False
+    return True
+
+
+def test_is_lie_rep_matches_reference_loop_on_perturbed_reps():
+    rng = random.Random(20261018)
+    a = fix_a()
+    g = sub_adjacent(a)
+    base = [
+        LieRep(a.space, standard_reps(a)["left"].rho),
+        LieRep(g.space, g.bracket),
+        LieRep(Space(2, "v"), MultiMap.zero((g.space, Space(2, "v")), Space(2, "v"))),
+    ]
+    outcomes = []
+    for rep in base:
+        assert is_lie_rep(g, rep) and reference_is_lie_rep(g, rep)
+        for _ in range(6):
+            coeffs = list(rep.rho.coeffs)
+            coeffs[rng.randrange(len(coeffs))] += random_fraction(rng, 3)
+            bumped_rep = LieRep(rep.space, MultiMap(rep.rho.inputs, rep.rho.output, tuple(coeffs)))
+            expected = reference_is_lie_rep(g, bumped_rep)
+            assert is_lie_rep(g, bumped_rep) == expected
+            outcomes.append(expected)
+    assert outcomes.count(False) >= 6 and True in outcomes
