@@ -20,7 +20,7 @@ from .prelie_base import (
     validate_prelie_rep,
 )
 from .prelie2_core import PreLie2Algebra, is_strict, validate as validate_prelie2
-from .report import InvalidStructureError, ValidationReport, Violation, make_report
+from .report import InvalidStructureError, ValidationReport, Violation, make_report, nonzero_entries
 from .scalar_tensor import (
     MultiMap,
     Space,
@@ -120,10 +120,7 @@ def to_strict_prelie2(cm: PreLieCrossedModule) -> PreLie2Algebra:
 def from_strict_prelie2(a: PreLie2Algebra) -> PreLieCrossedModule:
     """Recover the crossed module; the degree-1 product is m·n = (dM m)·n."""
     if not is_strict(a):
-        raise InvalidStructureError(
-            "from_strict_prelie2 needs a strict structure",
-            make_report([Violation("strict", (), (next(c for c in a.l3.coeffs if c),))]),
-        )
+        raise InvalidStructureError("from_strict_prelie2 needs a strict structure", nonzero_entries("strict", a.l3))
     rep = validate_prelie2(a)
     if not rep.ok:
         raise InvalidStructureError("from_strict_prelie2: structure invalid", rep)

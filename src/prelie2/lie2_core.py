@@ -15,7 +15,7 @@ from .graded_spaces import EndAlgebra, TwoTermComplex, end_algebra
 from .identities import Condition, check, skew
 from .prelie_base import LieAlgebra
 from .prelie2_core import PreLie2Algebra, PreLie2Hom, validate as validate_prelie2
-from .report import InvalidStructureError, ValidationReport, Violation, make_report
+from .report import InvalidStructureError, ValidationReport, Violation, make_report, nonzero_entries
 from .scalar_tensor import (
     MultiMap,
     Space,
@@ -240,15 +240,9 @@ def hom_from_prelie2hom(
 
 def _require_strict(g: Lie2Algebra, rep: Lie2Rep | None = None):
     if not is_strict_lie2(g):
-        raise InvalidStructureError(
-            "operation needs a strict 2-algebra",
-            make_report([Violation("strict", (), (next(c for c in g.l3.coeffs if c),))]),
-        )
+        raise InvalidStructureError("operation needs a strict 2-algebra", nonzero_entries("strict", g.l3))
     if rep is not None and not is_strict_rep(rep):
-        raise InvalidStructureError(
-            "operation needs a strict representation",
-            make_report([Violation("strict-rep", (), (next(c for c in rep.rho2.coeffs if c),))]),
-        )
+        raise InvalidStructureError("operation needs a strict representation", nonzero_entries("strict-rep", rep.rho2))
 
 
 def semidirect_strict(g: Lie2Algebra, rep: Lie2Rep) -> Lie2Algebra:

@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from .graded_spaces import TwoTermComplex
+from .identities import Condition, check, skew
 from .lie2_core import (
     Lie2Algebra,
     Lie2Hom,
@@ -23,7 +24,7 @@ from .lie2_core import (
     validate_rep,
 )
 from .prelie2_core import PreLie2Algebra
-from .report import InvalidStructureError, ValidationReport, Violation, make_report
+from .report import InvalidStructureError, ValidationReport, Violation, make_report, nonzero_entries
 from .scalar_tensor import (
     DirectSum,
     MultiMap,
@@ -33,9 +34,7 @@ from .scalar_tensor import (
     ml_apply,
     ml_compose_linear,
     vec_add,
-    vec_is_zero,
     vec_neg,
-    vec_sub,
 )
 
 
@@ -74,58 +73,31 @@ def _chain_defect(t0: MultiMap, t1: MultiMap, ctx: OOperatorContext) -> MultiMap
     return ml_compose_linear(t0, ctx.complex.dm) - ml_compose_linear(ctx.algebra.dk, t1)
 
 
+_O_CONDITIONS = (
+    Condition("chain", "m", "t0(dm(m)) - d(t1(m))"),
+    skew("skew-t2", "t2", "xy", 0, 1),
+    Condition("i", "xy", "t0(r00(t0(x),y)) - t0(r00(t0(y),x)) - l2(t0(x),t0(y)) - d(t2(x,y))"),
+    # l2(T1 m, T0 w) = -l2(T0 w, T1 m)
+    Condition("ii", "mw", "t1(r1(t1(m),w)) - t1(r01(t0(w),m)) + l2m(t0(w),t1(m)) - t2(dm(m),w)"),
+    # l3 of the T0 images plus, for each rotation (a, b, c) of (x, y, z),
+    # l2(T0 a, T2(b, c)) + T2(c, [a, b]_T) + T1(rho1(T2(b, c)) a + rho2(T0 b, T0 c) a)
+    Condition(
+        "iii",
+        "xyz",
+        "l3(t0(x),t0(y),t0(z))"
+        " + l2m(t0(x),t2(y,z)) + t2(z,r00(t0(x),y)) - t2(z,r00(t0(y),x)) + t1(r1(t2(y,z),x)) + t1(r2(t0(y),t0(z),x))"
+        " + l2m(t0(y),t2(z,x)) + t2(x,r00(t0(y),z)) - t2(x,r00(t0(z),y)) + t1(r1(t2(z,x),y)) + t1(r2(t0(z),t0(x),y))"
+        " + l2m(t0(z),t2(x,y)) + t2(y,r00(t0(z),x)) - t2(y,r00(t0(x),z)) + t1(r1(t2(x,y),z)) + t1(r2(t0(x),t0(y),z))",
+    ),
+)
+
+
 def validate_o(t: OOperator) -> ValidationReport:
-    """Chain condition, skewness of T2, and conditions (i)-(iii).
-
-    The basis images T0 e_i, T1 e_p, T2(e_i, e_j) and the products
-    rho0(T0 e_i) e_j are taken once per call; (iii) at (i, j, k) sums one
-    term per ordered triple over the three rotations of (i, j, k).
-    """
-    ctx = t.context
-    g, rep, v = ctx.algebra, ctx.rep, ctx.complex
-    n0 = range(v.v0.dim)
-    out: list[Violation] = []
-    chain = _chain_defect(t.t0, t.t1, ctx)
-    for p in range(v.v1.dim):
-        img = chain.image_of_basis(p)
-        if not vec_is_zero(img):
-            out.append(Violation("chain", (p,), img))
-    t0e = [t.t0.image_of_basis(i) for i in n0]
-    t2e = {(i, j): t.t2.image_of_basis(i, j) for i, j in iter_product(n0, repeat=2)}
-    for i, j in iter_product(n0, repeat=2):
-        defect = vec_add(t2e[i, j], t2e[j, i])
-        if not vec_is_zero(defect):
-            out.append(Violation("skew-t2", (i, j), defect))
-
-    b0 = [basis_vector(v.v0, i) for i in n0]
-    act = {(i, j): ml_apply(rep.rho0_0, [t0e[i], b0[j]]) for i, j in iter_product(n0, repeat=2)}
-    comm = {(i, j): vec_sub(act[i, j], act[j, i]) for i, j in iter_product(n0, repeat=2)}
-
-    for i, j in iter_product(n0, repeat=2):
-        lhs = vec_sub(ml_apply(t.t0, [comm[i, j]]), ml_apply(g.l2_00, [t0e[i], t0e[j]]))
-        defect = vec_sub(lhs, ml_apply(g.dk, [t2e[i, j]]))
-        if not vec_is_zero(defect):
-            out.append(Violation("i", (i, j), defect))
-    for p, j in iter_product(range(v.v1.dim), n0):
-        m, t1m = basis_vector(v.v1, p), t.t1.image_of_basis(p)
-        inner = vec_sub(ml_apply(rep.rho1, [t1m, b0[j]]), ml_apply(rep.rho0_1, [t0e[j], m]))
-        # l2(T1 m, T0 w) = -l2(T0 w, T1 m)
-        lhs = vec_add(ml_apply(t.t1, [inner]), ml_apply(g.l2_01, [t0e[j], t1m]))
-        defect = vec_sub(lhs, ml_apply(t.t2, [v.dm.image_of_basis(p), b0[j]]))
-        if not vec_is_zero(defect):
-            out.append(Violation("ii", (p, j), defect))
-
-    term = {}
-    for a, b, c in iter_product(n0, repeat=3):
-        x = vec_add(ml_apply(g.l2_01, [t0e[a], t2e[b, c]]), ml_apply(t.t2, [b0[c], comm[a, b]]))
-        inner = vec_add(ml_apply(rep.rho1, [t2e[b, c], b0[a]]), ml_apply(rep.rho2, [t0e[b], t0e[c], b0[a]]))
-        term[a, b, c] = vec_add(x, ml_apply(t.t1, [inner]))
-    for i, j, k in iter_product(n0, repeat=3):
-        total = vec_add(vec_add(term[i, j, k], term[j, k, i]), term[k, i, j])
-        total = vec_add(total, ml_apply(g.l3, [t0e[i], t0e[j], t0e[k]]))
-        if not vec_is_zero(total):
-            out.append(Violation("iii", (i, j, k), total))
-    return make_report(out)
+    """Chain condition, skewness of T2, and conditions (i)-(iii)."""
+    g, rep = t.context.algebra, t.context.rep
+    algebra = {"d": g.dk, "l2": g.l2_00, "l2m": g.l2_01, "l3": g.l3}
+    action = {"r00": rep.rho0_0, "r01": rep.rho0_1, "r1": rep.rho1, "r2": rep.rho2}
+    return check({**algebra, **action, "t0": t.t0, "t1": t.t1, "t2": t.t2, "dm": rep.complex.dm}, _O_CONDITIONS)
 
 
 def induced_prelie2(t: OOperator) -> PreLie2Algebra:
@@ -180,20 +152,12 @@ def induced_hom(t: OOperator) -> Lie2Hom:
     return Lie2Hom(t.t0, t.t1, t.t2)
 
 
+_LIE_O = (Condition("o", "uv", "br(t(u),t(v)) - t(rho(t(u),v)) + t(rho(t(v),u))"),)
+
+
 def lie_o_operator_holds(tmap: MultiMap, bracket: MultiMap, rho: MultiMap) -> bool:
     """[Tu, Tv] = T(rho(Tu)v - rho(Tv)u) on every basis pair."""
-    nv = tmap.inputs[0].dim
-    for i, j in iter_product(range(nv), repeat=2):
-        u = basis_vector(tmap.inputs[0], i)
-        w = basis_vector(tmap.inputs[0], j)
-        tu, tw = ml_apply(tmap, [u]), ml_apply(tmap, [w])
-        lhs = ml_apply(bracket, [tu, tw])
-        rhs = ml_apply(
-            tmap, [vec_sub(ml_apply(rho, [tu, w]), ml_apply(rho, [tw, u]))]
-        )
-        if lhs != rhs:
-            return False
-    return True
+    return check({"t": tmap, "br": bracket, "rho": rho}, _LIE_O).ok
 
 
 def flatten_check(t0: MultiMap, t1: MultiMap, ctx: OOperatorContext) -> bool:
@@ -201,10 +165,7 @@ def flatten_check(t0: MultiMap, t1: MultiMap, ctx: OOperatorContext) -> bool:
     and (T0, T1) must be a chain map.  Strict context only."""
     g, rep = ctx.algebra, ctx.rep
     if not (is_strict_lie2(g) and is_strict_rep(rep)):
-        raise InvalidStructureError(
-            "flatten_check needs a strict context",
-            make_report([Violation("strict", (), tuple(c for m in (g.l3, rep.rho2) for c in m.coeffs if c))]),
-        )
+        raise InvalidStructureError("flatten_check needs a strict context", nonzero_entries("strict", g.l3, rep.rho2))
     v = ctx.complex
     flat = semidirect_lie_algebra(g)
     gflat = DirectSum(flat.space, (g.g0, g.g1))

@@ -12,7 +12,7 @@ from itertools import product as iter_product
 
 from .identities import Condition, check, skew
 from .prelie_base import Cochain, PreLieAlgebra, PreLieRep, coboundary, validate_prelie, validate_prelie_rep
-from .report import InvalidStructureError, ValidationReport, Violation, make_report
+from .report import InvalidStructureError, ValidationReport, Violation, make_report, nonzero_entries
 from .scalar_tensor import (
     MultiMap,
     Space,
@@ -172,10 +172,7 @@ def build_skeletal(a: PreLieAlgebra, rep: PreLieRep, l3: Cochain) -> PreLie2Alge
 def classify_skeletal(a: PreLie2Algebra) -> tuple[PreLieAlgebra, PreLieRep, Cochain]:
     """Inverse of build_skeletal: extract the (algebra, rep, cocycle) triple."""
     if not is_skeletal(a):
-        raise InvalidStructureError(
-            "classify_skeletal needs dM = 0",
-            make_report([Violation("skeletal", (), (next(c for c in a.dm.coeffs if c),))]),
-        )
+        raise InvalidStructureError("classify_skeletal needs dM = 0", nonzero_entries("skeletal", a.dm))
     rep = validate(a)
     if not rep.ok:
         raise InvalidStructureError("classify_skeletal: structure invalid", rep)

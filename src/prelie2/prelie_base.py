@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations, product as iter_product
 
 from .identities import Condition, check, skew, support
-from .report import InvalidStructureError, ValidationReport, Violation, make_report
+from .report import InvalidStructureError, ValidationReport, Violation, make_report, nonzero_entries
 from .scalar_tensor import (
     ZERO,
     MultiMap,
@@ -271,10 +271,7 @@ def cocycle_from_form(a: PreLieAlgebra, form: InvariantForm) -> Cochain:
     cochain = Cochain(3, MultiMap.build((a.space,) * 3, form.omega.output, phi))
     d = coboundary(cochain, a, zero_rep(a, form.omega.output))
     if not d.map.is_zero():
-        raise InvalidStructureError(
-            "induced 3-cochain is not closed",
-            make_report([Violation("cocycle", (), tuple(c for c in d.map.coeffs if c))]),
-        )
+        raise InvalidStructureError("induced 3-cochain is not closed", nonzero_entries("cocycle", d.map))
     return cochain
 
 

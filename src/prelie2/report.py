@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalar_tensor import Vector
+from .scalar_tensor import MultiMap, Vector
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,12 @@ class ValidationReport:
 def make_report(violations: list[Violation]) -> ValidationReport:
     ordered = sorted(violations, key=lambda v: (v.condition, v.where))
     return ValidationReport(tuple(ordered))
+
+
+def nonzero_entries(label: str, *maps: MultiMap) -> ValidationReport:
+    """One violation at (): the nonzero entries of ``maps``, row-major, one
+    map after the other.  Guards use it for tensors that must vanish."""
+    return make_report([Violation(label, (), tuple(c for m in maps for c in m.coeffs if c))])
 
 
 class InvalidStructureError(ValueError):

@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from .graded_spaces import TwoTermComplex
+from .identities import Condition, check
 from .lie2_core import (
     Lie2Algebra,
     Lie2Rep,
@@ -24,19 +25,16 @@ from .lie2_core import (
     semidirect_strict,
 )
 from .o_operators import OOperatorContext
-from .prelie_base import LieAlgebra, LieRep, PreLieAlgebra, sub_adjacent, validate_prelie
+from .prelie_base import SCALAR_LINE, LieAlgebra, LieRep, PreLieAlgebra, sub_adjacent, validate_prelie
 from .prelie2_core import PreLie2Algebra, is_strict, validate as validate_prelie2
-from .report import InvalidStructureError, ValidationReport, Violation, make_report
+from .report import InvalidStructureError, ValidationReport, Violation, nonzero_entries
 from .scalar_tensor import (
     ZERO,
     MultiMap,
     Space,
-    basis_vector,
     block_multimap,
     direct_sum,
     kernel_of_rows,
-    ml_apply,
-    vec_sub,
 )
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -72,28 +70,23 @@ def zero_matrix(n: int) -> Matrix:
     return tuple((Fraction(0),) * n for _ in range(n))
 
 
+# r(k) = sum r_kp b_p and rt(l) = sum r_pl b_p; ev(k, x) is the k-th coordinate of x
+_CYBE = (Condition("cybe", "klm", "ev(k,br(rt(l),rt(m))) + ev(l,br(r(k),rt(m))) + ev(m,br(r(k),r(l)))"),)
+
+
 def cybe_check(r: Tensor2Element, g: LieAlgebra | None = None) -> ValidationReport:
     """[r12,r13] + [r13,r23] + [r12,r23] by structure-constant contraction."""
     g = g or r.base
-    n = g.space.dim
-    if r.base.space.dim != n:
+    s = g.space
+    if r.base.space.dim != s.dim:
         raise ValueError("r-matrix does not match the algebra dimension")
-    c = g.bracket
-    rc = r.coeffs
-    out: list[Violation] = []
-    for k, l, m in iter_product(range(n), repeat=3):
-        total = Fraction(0)
-        for p, q in iter_product(range(n), repeat=2):
-            cpq = c.image_of_basis(p, q)
-            if cpq[k]:
-                total += rc[p][l] * rc[q][m] * cpq[k]
-            if cpq[l]:
-                total += rc[k][p] * rc[q][m] * cpq[l]
-            if cpq[m]:
-                total += rc[k][p] * rc[l][q] * cpq[m]
-        if total != 0:
-            out.append(Violation("cybe", (k, l, m), (total,)))
-    return make_report(out)
+    tensors = {
+        "br": g.bracket,
+        "r": MultiMap((s,), s, tuple(c for row in r.coeffs for c in row)),
+        "rt": MultiMap((s,), s, tuple(c for row in sigma(r).coeffs for c in row)),
+        "ev": MultiMap((s, s), SCALAR_LINE, MultiMap.identity(s).coeffs),
+    }
+    return check(tensors, _CYBE)
 
 
 # -- doubles over ordinary Lie algebras --------------------------------------
@@ -129,21 +122,11 @@ def o_operator_to_r(t: MultiMap, g: LieAlgebra, rep: LieRep) -> Tensor2Element:
     return Tensor2Element(dbl, tuple(tuple(row) for row in grid))
 
 
+_LIE_REP = (Condition("rep", "xyv", "rho(br(x,y),v) - rho(x,rho(y,v)) + rho(y,rho(x,v))"),)
+
+
 def is_lie_rep(g: LieAlgebra, rep: LieRep) -> bool:
-    nv = rep.space.dim
-    for i, j in iter_product(range(g.space.dim), repeat=2):
-        x = basis_vector(g.space, i)
-        y = basis_vector(g.space, j)
-        for u in range(nv):
-            v = basis_vector(rep.space, u)
-            lhs = ml_apply(rep.rho, [g.brk(x, y), v])
-            rhs = vec_sub(
-                ml_apply(rep.rho, [x, ml_apply(rep.rho, [y, v])]),
-                ml_apply(rep.rho, [y, ml_apply(rep.rho, [x, v])]),
-            )
-            if lhs != rhs:
-                return False
-    return True
+    return check({"br": g.bracket, "rho": rep.rho}, _LIE_REP).ok
 
 
 # -- graded checks ------------------------------------------------------------
@@ -173,10 +156,7 @@ def graded_cybe_check(
     """Skewness of R, its Yang-Baxter contraction in the flattened bracket,
     and the mixed-degree closedness of r."""
     if not is_strict_lie2(g):
-        raise InvalidStructureError(
-            "graded check needs a strict 2-algebra",
-            make_report([Violation("strict", (), tuple(c for c in g.l3.coeffs if c))]),
-        )
+        raise InvalidStructureError("graded check needs a strict 2-algebra", nonzero_entries("strict", g.l3))
     flat, degrees = flatten_strict(g)
     n0, n1 = g.g0.dim, g.g1.dim
     n = n0 + n1
@@ -250,10 +230,7 @@ def dual_complex(v: TwoTermComplex) -> TwoTermComplex:
 def dual_rep(g: Lie2Algebra, rep: Lie2Rep) -> Lie2Rep:
     """Negative-transpose action on the dual complex (strict reps only)."""
     if not is_strict_rep(rep):
-        raise InvalidStructureError(
-            "dual_rep needs a strict representation",
-            make_report([Violation("strict-rep", (), tuple(c for c in rep.rho2.coeffs if c))]),
-        )
+        raise InvalidStructureError("dual_rep needs a strict representation", nonzero_entries("strict-rep", rep.rho2))
     v = rep.complex
     vd = dual_complex(v)
     m0, m1 = v.v0.dim, v.v1.dim
@@ -279,7 +256,7 @@ def solution_from_o_operator(
     if not (is_strict_lie2(g) and is_strict_rep(rep)):
         raise InvalidStructureError(
             "solution_from_o_operator needs a strict context",
-            make_report([Violation("strict", (), tuple(c for m in (g.l3, rep.rho2) for c in m.coeffs if c))]),
+            nonzero_entries("strict", g.l3, rep.rho2),
         )
     v = ctx.complex
     dbl = semidirect_strict(g, dual_rep(g, rep))
@@ -308,10 +285,7 @@ def solution_from_o_operator(
 def canonical_solution(a: PreLie2Algebra) -> tuple[Tensor2Element, Matrix, Lie2Algebra]:
     """Identity-operator solution in G(A) ⋉ A* for a strict structure."""
     if not is_strict(a):
-        raise InvalidStructureError(
-            "canonical_solution needs a strict structure",
-            make_report([Violation("strict", (), (next(c for c in a.l3.coeffs if c),))]),
-        )
+        raise InvalidStructureError("canonical_solution needs a strict structure", nonzero_entries("strict", a.l3))
     g, rep = from_prelie2(a)
     ctx = OOperatorContext(g, rep)
     return solution_from_o_operator(

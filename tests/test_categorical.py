@@ -176,6 +176,55 @@ def test_alpha_on_sheared_presentation():
     assert iso.ok
 
 
+def reference_alpha_loops(split, alpha1, c):
+    """alpha-star and alpha-jac evaluated on basis vectors one map
+    application at a time, as the comparison once did."""
+    from prelie2.report import Violation
+    from prelie2.scalar_tensor import vec_is_zero, vec_sub
+
+    out = []
+    nm = split.space.mor.dim
+    for i, j in product(range(nm), repeat=2):
+        f, g = basis_vector(nm, i), basis_vector(nm, j)
+        lhs = ml_apply(alpha1, [ml_apply(split.star_mor, [f, g])])
+        defect = vec_sub(lhs, ml_apply(c.star_mor, [ml_apply(alpha1, [f]), ml_apply(alpha1, [g])]))
+        if not vec_is_zero(defect):
+            out.append(Violation("alpha-star", (i, j), defect))
+    star = split.star_obj
+    for i, j, k in product(range(c.obj.dim), repeat=3):
+        u, v, w = (basis_vector(c.obj, x) for x in (i, j, k))
+        assoc = vec_sub(ml_apply(star, [ml_apply(star, [u, v]), w]), ml_apply(star, [u, ml_apply(star, [v, w])]))
+        j_split = tuple(assoc) + tuple(split.jac.image_of_basis(i, j, k))
+        defect = vec_sub(ml_apply(alpha1, [j_split]), c.jac.image_of_basis(i, j, k))
+        if not vec_is_zero(defect):
+            out.append(Violation("alpha-jac", (i, j, k), defect))
+    return out
+
+
+def test_alpha_star_and_jac_match_reference_loops_on_perturbed_comparisons(monkeypatch, rng):
+    # a true comparison passes both checks by construction, so each draw
+    # hands alpha_iso a comparison map with two entries moved
+    from prelie2 import categorical
+
+    reached = set()
+    for fx in (fix_b(), fix_omega()):
+        c = functor_T(fx)
+        nm = c.space.mor.dim
+        w = MultiMap.build((c.space.mor,), c.space.mor, lambda i: basis_vector(nm, (i + 1) % nm))
+        raw = rebase_cat(c, w)
+        split, alpha1 = split_presentation(raw)
+        for _ in range(6):
+            coeffs = list(alpha1.coeffs)
+            for _ in range(2):
+                coeffs[rng.randrange(len(coeffs))] += random_fraction(rng, 3) or 1
+            bumped = MultiMap(alpha1.inputs, alpha1.output, tuple(coeffs))
+            monkeypatch.setattr(categorical, "split_presentation", lambda _, b=bumped: (split, b))
+            found = [v for v in alpha_iso(raw).report.violations if v.condition in ("alpha-star", "alpha-jac")]
+            assert found == sorted(reference_alpha_loops(split, bumped, raw), key=lambda v: (v.condition, v.where))
+            reached.update(v.condition for v in found)
+    assert reached == {"alpha-star", "alpha-jac"}
+
+
 def test_unit_guards_carry_the_nonzero_entries():
     # s∘(2·unit) − id = t∘(2·unit) − id = id on the 2-dim object space
     c = functor_T(fix_b())

@@ -86,8 +86,10 @@ def test_zero_round_trip():
 def test_from_strict_rejects_nonstrict():
     from prelie2.fixtures import fix_omega
 
-    with pytest.raises(InvalidStructureError):
+    with pytest.raises(InvalidStructureError) as info:
         from_strict_prelie2(fix_omega())
+    (strict,) = info.value.report.violations
+    assert (strict.condition, strict.where, strict.defect) == ("strict", (), (Fraction(1), Fraction(-1)))
 
 
 def test_derived_identities_hold_on_valid_modules():

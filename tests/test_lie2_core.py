@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -160,8 +161,17 @@ def test_semidirect_of_fix_b_with_left_rep_valid():
 def test_semidirect_rejects_nonstrict():
     om = fix_omega()
     g, rep = from_prelie2(om)
-    with pytest.raises(InvalidStructureError):
+    with pytest.raises(InvalidStructureError) as info:
         semidirect_strict(g, rep)
+    # the guard carries every nonzero entry of rho2 = -l3 of FIX-OMEGA
+    (strict,) = info.value.report.violations
+    assert (strict.condition, strict.where, strict.defect) == ("strict-rep", (), (Fraction(-1), Fraction(1)))
+    coeffs = [Fraction(0)] * len(g.l3.coeffs)
+    coeffs[1], coeffs[6] = Fraction(2), Fraction(-3)
+    with pytest.raises(InvalidStructureError) as info:
+        semidirect_lie_algebra(replace(g, l3=MultiMap(g.l3.inputs, g.l3.output, tuple(coeffs))))
+    (strict,) = info.value.report.violations
+    assert (strict.condition, strict.where, strict.defect) == ("strict", (), (Fraction(2), Fraction(-3)))
 
 
 def test_flatten_g1_zero_gives_g0():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -330,8 +331,14 @@ def test_classify_zero_structure():
 
 
 def test_classify_rejects_non_skeletal():
+    b = fix_b()
     with pytest.raises(InvalidStructureError):
-        classify_skeletal(fix_b())
+        classify_skeletal(b)
+    # the guard carries every nonzero entry of dM
+    with pytest.raises(InvalidStructureError) as info:
+        classify_skeletal(replace(b, dm=MultiMap(b.dm.inputs, b.dm.output, (Fraction(2), Fraction(-3)))))
+    (skeletal,) = info.value.report.violations
+    assert (skeletal.condition, skeletal.where, skeletal.defect) == ("skeletal", (), (Fraction(2), Fraction(-3)))
 
 
 # -- a dim-3 family where the homotopy condition does real cancellation ----------

@@ -191,10 +191,11 @@ def test_canonical_solution_degenerate_case_reduces_to_lie_level():
 
 
 def test_canonical_solution_rejects_nonstrict():
-    from prelie2.fixtures import fix_omega
-
-    with pytest.raises(InvalidStructureError):
+    with pytest.raises(InvalidStructureError) as info:
         canonical_solution(fix_omega())
+    # the guard carries every nonzero entry of l3
+    (strict,) = info.value.report.violations
+    assert (strict.condition, strict.where, strict.defect) == ("strict", (), (Fraction(1), Fraction(-1)))
 
 
 def test_strictness_guards_carry_the_nonzero_entries():
