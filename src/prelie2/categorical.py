@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graded_spaces import TwoTermComplex
-from .identities import Condition, check
+from .identities import Condition, check, tensor
 from .prelie2_core import (
     PreLie2Algebra,
     PreLie2Hom,
@@ -29,11 +29,8 @@ from .scalar_tensor import (
     Vector,
     basis_vector,
     invert_linear,
-    ml_apply,
     ml_compose_linear,
     nullspace,
-    vec_add,
-    vec_sub,
     zero_vector,
 )
 
@@ -67,12 +64,6 @@ class TwoVectorSpace:
 
     def proj1(self, f: Vector) -> Vector:
         return f[self.complex.v0.dim :]
-
-    def source(self, f: Vector) -> Vector:
-        return self.proj0(f)
-
-    def target(self, f: Vector) -> Vector:
-        return vec_add(self.proj0(f), ml_apply(self.complex.dm, [self.proj1(f)]))
 
 
 @dataclass(frozen=True)
@@ -113,19 +104,20 @@ _FUNCTOR_LAWS = (
 )
 
 
-def _split_maps(sp: TwoVectorSpace) -> dict[str, MultiMap]:
+def _split_maps(sp: TwoVectorSpace, prime: str = "") -> dict[str, MultiMap]:
     """The projections p0, p1, the embeddings e0, e1 and the target t of a
-    split morphism space, as maps."""
+    split morphism space, as maps, each name followed by ``prime``."""
     v0, v1, mor = sp.complex.v0, sp.complex.v1, sp.mor
     p0 = MultiMap.build((mor,), v0, lambda f: sp.proj0(basis_vector(mor, f)))
     p1 = MultiMap.build((mor,), v1, lambda f: sp.proj1(basis_vector(mor, f)))
-    return {
+    maps = {
         "p0": p0,
         "p1": p1,
         "e0": MultiMap.build((v0,), mor, lambda u: sp.embed0(basis_vector(v0, u))),
         "e1": MultiMap.build((v1,), mor, lambda m: sp.embed1(basis_vector(v1, m))),
         "t": p0 + ml_compose_linear(sp.complex.dm, p1),
     }
+    return {name + prime: m for name, m in maps.items()}
 
 
 def validate_cat(c: CatPreLie2) -> ValidationReport:
@@ -141,21 +133,11 @@ def functor_T(a: PreLie2Algebra) -> CatPreLie2:
     if not rep.ok:
         raise InvalidStructureError("functor_T needs a valid structure", rep)
     sp = TwoVectorSpace(TwoTermComplex(a.a0, a.a1, a.dm))
-    n0 = a.a0.dim
-
-    def star_mor_img(i: int, j: int) -> Vector:
-        u = basis_vector(a.a0, i) if i < n0 else zero_vector(a.a0)
-        m = basis_vector(a.a1, i - n0) if i >= n0 else zero_vector(a.a1)
-        v = basis_vector(a.a0, j) if j < n0 else zero_vector(a.a0)
-        n = basis_vector(a.a1, j - n0) if j >= n0 else zero_vector(a.a1)
-        obj = ml_apply(a.mul00, [u, v])
-        ker = vec_add(
-            vec_add(ml_apply(a.mul01, [u, n]), ml_apply(a.mul10, [m, v])),
-            ml_apply(a.mul01, [ml_apply(a.dm, [m]), n]),
-        )
-        return tuple(obj) + tuple(ker)
-
-    star_mor = MultiMap.build((sp.mor, sp.mor), sp.mor, star_mor_img)
+    star_mor = tensor(
+        {**_split_maps(sp), "d": a.dm, "m00": a.mul00, "m01": a.mul01, "m10": a.mul10},
+        "fg",
+        "e0(m00(p0(f),p0(g))) + e1(m01(p0(f),p1(g))) + e1(m10(p1(f),p0(g))) + e1(m01(d(p1(f)),p1(g)))",
+    )
     return CatPreLie2(sp, a.mul00, star_mor, a.l3)
 
 
@@ -164,23 +146,11 @@ def functor_S(c: CatPreLie2) -> PreLie2Algebra:
     rep = validate_cat(c)
     if not rep.ok:
         raise InvalidStructureError("functor_S: presentation is not functorial", rep)
-    sp = c.space
-    v0, v1 = sp.complex.v0, sp.complex.v1
-    mul01 = MultiMap.build(
-        (v0, v1),
-        v1,
-        lambda i, p: sp.proj1(
-            ml_apply(c.star_mor, [sp.embed0(basis_vector(v0, i)), sp.embed1(basis_vector(v1, p))])
-        ),
-    )
-    mul10 = MultiMap.build(
-        (v1, v0),
-        v1,
-        lambda p, i: sp.proj1(
-            ml_apply(c.star_mor, [sp.embed1(basis_vector(v1, p)), sp.embed0(basis_vector(v0, i))])
-        ),
-    )
-    a = PreLie2Algebra(v0, v1, sp.complex.dm, c.star_obj, mul01, mul10, c.jac)
+    v = c.space.complex
+    tensors = {**_split_maps(c.space), "star": c.star_mor}
+    mul01 = tensor(tensors, "um", "p1(star(e0(u),e1(m)))")
+    mul10 = tensor(tensors, "mu", "p1(star(e1(m),e0(u)))")
+    a = PreLie2Algebra(v.v0, v.v1, v.dm, c.star_obj, mul01, mul10, c.jac)
     rep2 = validate_prelie2(a)
     if not rep2.ok:
         raise InvalidStructureError("functor_S: extracted structure invalid", rep2)
@@ -189,40 +159,18 @@ def functor_S(c: CatPreLie2) -> PreLie2Algebra:
 
 def hom_T(f: PreLie2Hom, a: PreLie2Algebra, b: PreLie2Algebra) -> CatHom:
     """Phi1 = F0 ⊕ F1 and Phi2(u, v) = (F0 u ·' F0 v) + F2(u, v)."""
-    ca, cb = functor_T(a), functor_T(b)
-    spa, spb = ca.space, cb.space
-    n0a, n1a = a.a0.dim, a.a1.dim
-
-    def phi1_img(i: int) -> Vector:
-        if i < n0a:
-            return spb.embed0(f.f0.image_of_basis(i))
-        return spb.embed1(f.f1.image_of_basis(i - n0a))
-
-    phi1 = MultiMap.build((spa.mor,), spb.mor, phi1_img)
-
-    def phi2_img(i: int, j: int) -> Vector:
-        u = f.f0.image_of_basis(i)
-        v = f.f0.image_of_basis(j)
-        return tuple(ml_apply(b.mul00, [u, v])) + tuple(f.f2.image_of_basis(i, j))
-
-    phi2 = MultiMap.build((a.a0, a.a0), spb.mor, phi2_img)
+    maps = {**_split_maps(functor_T(a).space), **_split_maps(functor_T(b).space, "'")}
+    tensors = {**maps, "f0": f.f0, "f1": f.f1, "f2": f.f2, "m00'": b.mul00}
+    phi1 = tensor(tensors, "f", "e0'(f0(p0(f))) + e1'(f1(p1(f)))")
+    phi2 = tensor(tensors, "uv", "e0'(m00'(f0(u),f0(v))) + e1'(f2(u,v))")
     return CatHom(f.f0, phi1, phi2)
 
 
 def hom_S(phi: CatHom, c: CatPreLie2, d: CatPreLie2) -> PreLie2Hom:
     """F1 = Phi1 on kernel parts; F2(u,v) = Phi2(u,v) - 1 at its source."""
-    spc, spd = c.space, d.space
-    v1c = spc.complex.v1
-    f1 = MultiMap.build(
-        (v1c,),
-        spd.complex.v1,
-        lambda p: spd.proj1(ml_apply(phi.phi1, [spc.embed1(basis_vector(v1c, p))])),
-    )
-    f2 = MultiMap.build(
-        phi.phi2.inputs,
-        spd.complex.v1,
-        lambda i, j: spd.proj1(phi.phi2.image_of_basis(i, j)),
-    )
+    tensors = {**_split_maps(c.space), **_split_maps(d.space, "'"), "phi1": phi.phi1, "phi2": phi.phi2}
+    f1 = tensor(tensors, "m", "p1'(phi1(e1(m)))")
+    f2 = tensor(tensors, "uv", "p1'(phi2(u,v))")
     return PreLie2Hom(phi.phi0, f1, f2)
 
 
@@ -232,6 +180,10 @@ def hom_S(phi: CatHom, c: CatPreLie2, d: CatPreLie2) -> PreLie2Hom:
 def _difference(x: MultiMap, y: MultiMap) -> tuple[Fraction, ...]:
     """The nonzero entries of x - y, row-major: the defect of x = y."""
     return tuple(a - b for a, b in zip(x.coeffs, y.coeffs) if a != b)
+
+
+# the object part of the split associator isomorphism is the associator
+_JAC_SOURCE = (Condition("jac-source", "uvw", "p0(a1inv(jac(u,v,w))) - star0(star0(u,v),w) + star0(u,star0(v,w))"),)
 
 
 def split_presentation(raw: RawCatPreLie2) -> tuple[CatPreLie2, MultiMap]:
@@ -250,50 +202,22 @@ def split_presentation(raw: RawCatPreLie2) -> tuple[CatPreLie2, MultiMap]:
     if bad:
         raise InvalidStructureError("not a 2-vector-space presentation", make_report(bad))
     v1 = Space(len(kernel), raw.obj.label + "ker")
-    dm = MultiMap.build((v1,), raw.obj, lambda p: ml_apply(raw.tmap, [kernel[p]]))
-    sp = TwoVectorSpace(TwoTermComplex(raw.obj, v1, dm))
-
-    def alpha1_img(i: int) -> Vector:
-        if i < raw.obj.dim:
-            return raw.unit.image_of_basis(i)
-        return kernel[i - raw.obj.dim]
-
-    alpha1 = MultiMap.build((sp.mor,), raw.mor, alpha1_img)
+    k = MultiMap((v1,), raw.mor, tuple(x for vec in kernel for x in vec))
+    sp = TwoVectorSpace(TwoTermComplex(raw.obj, v1, ml_compose_linear(raw.tmap, k)))
+    maps = _split_maps(sp)
+    alpha1 = tensor({**maps, "unit": raw.unit, "k": k}, "f", "unit(p0(f)) + k(p1(f))")
     alpha1_inv = invert_linear(alpha1)
     if alpha1_inv is None:
         raise InvalidStructureError(
             "unit image and kernel do not span the morphism space",
             make_report([Violation("splitting", (), (Fraction(1),))]),
         )
-    star_mor = MultiMap.build(
-        (sp.mor, sp.mor),
-        sp.mor,
-        lambda i, j: ml_apply(
-            alpha1_inv,
-            [
-                ml_apply(
-                    raw.star_mor,
-                    [alpha1.image_of_basis(i), alpha1.image_of_basis(j)],
-                )
-            ],
-        ),
-    )
-
-    def jac_img(i, j, k):
-        split_j = ml_apply(alpha1_inv, [raw.jac.image_of_basis(i, j, k)])
-        u, v, w = (basis_vector(raw.obj, x) for x in (i, j, k))
-        assoc = vec_sub(
-            ml_apply(raw.star_obj, [ml_apply(raw.star_obj, [u, v]), w]),
-            ml_apply(raw.star_obj, [u, ml_apply(raw.star_obj, [v, w])]),
-        )
-        if sp.proj0(split_j) != tuple(assoc):
-            raise InvalidStructureError(
-                "associator isomorphism has the wrong source",
-                make_report([Violation("jac-source", (i, j, k), vec_sub(sp.proj0(split_j), assoc))]),
-            )
-        return sp.proj1(split_j)
-
-    jac = MultiMap.build((raw.obj,) * 3, v1, jac_img)
+    tensors = {**maps, "a1": alpha1, "a1inv": alpha1_inv, "star": raw.star_mor, "star0": raw.star_obj, "jac": raw.jac}
+    wrong_source = check(tensors, _JAC_SOURCE)
+    if not wrong_source.ok:
+        raise InvalidStructureError("associator isomorphism has the wrong source", wrong_source)
+    star_mor = tensor(tensors, "fg", "a1inv(star(a1(f),a1(g)))")
+    jac = tensor(tensors, "uvw", "p1(a1inv(jac(u,v,w)))")
     return CatPreLie2(sp, raw.star_obj, star_mor, jac), alpha1
 
 
@@ -376,38 +300,14 @@ def rebase_cat(c: CatPreLie2, w: MultiMap) -> RawCatPreLie2:
     w_inv = invert_linear(w)
     if w_inv is None:
         raise ValueError("rebasing map must be invertible")
-    mor = w.output
-    smap = MultiMap.build(
-        (mor,), sp.obj, lambda i: sp.source(w_inv.image_of_basis(i))
+    tensors = {**_split_maps(sp), "w": w, "winv": w_inv, "star": c.star_mor, "star0": c.star_obj, "jac": c.jac}
+    return RawCatPreLie2(
+        sp.obj,
+        w.output,
+        tensor(tensors, "f", "p0(winv(f))"),
+        tensor(tensors, "f", "t(winv(f))"),
+        tensor(tensors, "u", "w(e0(u))"),
+        c.star_obj,
+        tensor(tensors, "fg", "w(star(winv(f),winv(g)))"),
+        tensor(tensors, "uvx", "w(e0(star0(star0(u,v),x))) - w(e0(star0(u,star0(v,x)))) + w(e1(jac(u,v,x)))"),
     )
-    tmap = MultiMap.build(
-        (mor,), sp.obj, lambda i: sp.target(w_inv.image_of_basis(i))
-    )
-    unit = MultiMap.build(
-        (sp.obj,), mor, lambda i: ml_apply(w, [sp.embed0(basis_vector(sp.obj, i))])
-    )
-    star_mor = MultiMap.build(
-        (mor, mor),
-        mor,
-        lambda i, j: ml_apply(
-            w,
-            [
-                ml_apply(
-                    c.star_mor,
-                    [w_inv.image_of_basis(i), w_inv.image_of_basis(j)],
-                )
-            ],
-        ),
-    )
-
-    def jac_img(i, j, k):
-        u, v, x = (basis_vector(sp.obj, y) for y in (i, j, k))
-        assoc = vec_sub(
-            ml_apply(c.star_obj, [ml_apply(c.star_obj, [u, v]), x]),
-            ml_apply(c.star_obj, [u, ml_apply(c.star_obj, [v, x])]),
-        )
-        j_split = tuple(assoc) + tuple(c.jac.image_of_basis(i, j, k))
-        return ml_apply(w, [j_split])
-
-    jac = MultiMap.build((sp.obj,) * 3, mor, jac_img)
-    return RawCatPreLie2(sp.obj, mor, smap, tmap, unit, c.star_obj, star_mor, jac)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .identities import Condition, check
+from .identities import Condition, check, tensor
 from .prelie_base import (
     LieAlgebra,
     PreLieAlgebra,
@@ -27,8 +27,6 @@ from .scalar_tensor import (
     basis_vector,
     block_multimap,
     direct_sum,
-    ml_apply,
-    vec_sub,
 )
 
 
@@ -105,16 +103,8 @@ def to_strict_prelie2(cm: PreLieCrossedModule) -> PreLie2Algebra:
     if not rep.ok:
         raise InvalidStructureError("to_strict_prelie2 needs a valid crossed module", rep)
     a0, a1 = cm.a0alg.space, cm.a1alg.space
-    mul10 = MultiMap.build((a1, a0), a1, lambda p, i: cm.mu.image_of_basis(i, p))
-    return PreLie2Algebra(
-        a0,
-        a1,
-        cm.dm,
-        cm.a0alg.mul,
-        cm.rho,
-        mul10,
-        MultiMap.zero((a0, a0, a0), a1),
-    )
+    mul10 = tensor({"mu": cm.mu}, "mu", "mu(u,m)")
+    return PreLie2Algebra(a0, a1, cm.dm, cm.a0alg.mul, cm.rho, mul10, MultiMap.zero((a0, a0, a0), a1))
 
 
 def from_strict_prelie2(a: PreLie2Algebra) -> PreLieCrossedModule:
@@ -124,23 +114,10 @@ def from_strict_prelie2(a: PreLie2Algebra) -> PreLieCrossedModule:
     rep = validate_prelie2(a)
     if not rep.ok:
         raise InvalidStructureError("from_strict_prelie2: structure invalid", rep)
-    mul1 = MultiMap.build(
-        (a.a1, a.a1),
-        a.a1,
-        lambda p, q: ml_apply(
-            a.mul01, [a.dm.image_of_basis(p), basis_vector(a.a1, q)]
-        ),
-    )
-    mu = MultiMap.build(
-        (a.a0, a.a1), a.a1, lambda i, p: a.mul10.image_of_basis(p, i)
-    )
-    return PreLieCrossedModule(
-        PreLieAlgebra(a.a0, a.mul00),
-        PreLieAlgebra(a.a1, mul1),
-        a.dm,
-        a.mul01,
-        mu,
-    )
+    t = {"d": a.dm, "m01": a.mul01, "m10": a.mul10}
+    mul1 = tensor(t, "mn", "m01(d(m),n)")
+    mu = tensor(t, "um", "m10(m,u)")
+    return PreLieCrossedModule(PreLieAlgebra(a.a0, a.mul00), PreLieAlgebra(a.a1, mul1), a.dm, a.mul01, mu)
 
 
 def direct_sum_prelie(cm: PreLieCrossedModule) -> PreLieAlgebra:
@@ -168,14 +145,8 @@ def sub_adjacent_crossed(cm: PreLieCrossedModule) -> LieCrossedModule:
     rep = validate_cm(cm)
     if not rep.ok:
         raise InvalidStructureError("sub_adjacent_crossed needs a valid crossed module", rep)
-    phi = MultiMap.build(
-        (cm.a0alg.space, cm.a1alg.space),
-        cm.a1alg.space,
-        lambda i, p: vec_sub(cm.rho.image_of_basis(i, p), cm.mu.image_of_basis(i, p)),
-    )
-    return LieCrossedModule(
-        sub_adjacent(cm.a0alg), sub_adjacent(cm.a1alg), cm.dm, phi
-    )
+    phi = tensor({"rho": cm.rho, "mu": cm.mu}, "um", "rho(u,m) - mu(u,m)")
+    return LieCrossedModule(sub_adjacent(cm.a0alg), sub_adjacent(cm.a1alg), cm.dm, phi)
 
 
 def ideal_crossed_module(a: PreLieAlgebra, ideal: tuple[int, ...]) -> PreLieCrossedModule:

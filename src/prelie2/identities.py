@@ -7,7 +7,9 @@ term uses every declared variable exactly once.  The condition's defect at
 a basis tuple is the sum of its terms on the basis vectors the tuple names.
 It is computed by contracting the nonzero entries of each tensor, so the
 cost follows the nonzero entries and not the number of basis tuples.  One
-``Violation`` is reported per basis tuple with a nonzero defect.
+``Violation`` is reported per basis tuple with a nonzero defect.  The same
+signed sum, taken at every basis tuple, is also how a construction builds a
+tensor (``tensor``).
 
 The contraction runs over Python ints: each tensor's entries are read as
 numerators over the lcm of their denominators, a value carries the product
@@ -26,7 +28,7 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from .report import ValidationReport, Violation, make_report
-from .scalar_tensor import DimensionMismatch, MultiMap
+from .scalar_tensor import DimensionMismatch, MultiMap, Space
 
 Term = tuple[int, tuple]  # (sign, (tensor name, *arguments)); an argument is a name or a tuple
 
@@ -102,30 +104,24 @@ def skew(label: str, tensor: str, variables: Sequence[str], a: int, b: int) -> C
     return Condition(label, variables, f"{tensor}({','.join(variables)}) + {tensor}({','.join(swapped)})")
 
 
-def support(m: MultiMap) -> dict[tuple[int, ...], list[tuple[int, Fraction]]]:
-    """The nonzero entries of ``m``, grouped by input basis tuple."""
-    out = {}
+def _scaled_support(m: MultiMap) -> tuple[dict[tuple[int, ...], list[tuple[int, int]]], int]:
+    """The nonzero entries of ``m``, grouped by input basis tuple, as integer
+    numerators over the lcm of their denominators, and that lcm."""
+    rows = {}
     n = m.output.dim
     for k, idx in enumerate(iter_product(*(range(sp.dim) for sp in m.inputs))):
         row = [(j, c) for j, c in enumerate(m.coeffs[k * n : (k + 1) * n]) if c]
         if row:
-            out[idx] = row
-    return out
-
-
-def _scaled_support(m: MultiMap) -> tuple[dict[tuple[int, ...], list[tuple[int, int]]], int]:
-    """The nonzero entries of ``m`` as integer numerators over the lcm of
-    their denominators, and that lcm."""
-    rows = support(m)
+            rows[idx] = row
     d = lcm(*(c.denominator for row in rows.values() for _, c in row))
     return {idx: [(j, c.numerator * (d // c.denominator)) for j, c in row] for idx, row in rows.items()}, d
 
 
 def _evaluate(expr: tuple, tensors: Mapping[str, MultiMap], supports: dict, memo: dict):
-    """(slot dimension of each variable, {assignment: {j: numerator}},
-    output dimension, scale) of an expression shape; an assignment lists the
-    basis indices of the variables in order of appearance, and each value is
-    its numerator over the scale."""
+    """(slot space of each variable, {assignment: {j: numerator}}, output
+    space, scale) of an expression shape; an assignment lists the basis
+    indices of the variables in order of appearance, and each value is its
+    numerator over the scale."""
     if expr in memo:
         return memo[expr]
     name, *args = expr
@@ -135,17 +131,18 @@ def _evaluate(expr: tuple, tensors: Mapping[str, MultiMap], supports: dict, memo
     if name not in supports:
         supports[name] = _scaled_support(m)
     rows, scale = supports[name]
-    dims: list[int] = []
+    spaces: list[Space] = []
     by_out = []  # per slot: basis index -> [(assignment, value)]
     for slot, (arg, sp) in enumerate(zip(args, m.inputs)):
         if arg is None:
-            dims.append(sp.dim)
+            spaces.append(sp)
             by_out.append([[((i,), 1)] for i in range(sp.dim)])
             continue
-        sub_dims, values, n, sub_scale = _evaluate(arg, tensors, supports, memo)
+        sub_spaces, values, out, sub_scale = _evaluate(arg, tensors, supports, memo)
+        n = out.dim
         if n != sp.dim:
             raise DimensionMismatch(f"argument {slot} of {name} has {n} entries, expected {sp.dim}", slot=slot)
-        dims += sub_dims
+        spaces += sub_spaces
         scale *= sub_scale
         lists: list[list] = [[] for _ in range(n)]
         for assign, vec in values.items():
@@ -163,8 +160,40 @@ def _evaluate(expr: tuple, tensors: Mapping[str, MultiMap], supports: dict, memo
             vec = values.setdefault(assign, {})
             for j, c in row:
                 vec[j] = vec.get(j, 0) + w * c
-    memo[expr] = dims, values, m.output.dim, scale
+    memo[expr] = spaces, values, m.output, scale
     return memo[expr]
+
+
+def _summed(cond: Condition, tensors: Mapping[str, MultiMap], supports: dict, memo: dict):
+    """(the space of each of ``cond.variables``, the output space,
+    {basis tuple of the variables: {j: numerator}}, common scale) of the
+    signed sum ``cond.identity``.  A variable takes the space of the first
+    slot it fills; the slots it fills and the terms' outputs must agree in
+    dimension."""
+    spaces: dict[str, Space] = {}
+    terms = []
+    output = None
+    for sign, expr in cond.terms:
+        names: list[str] = []
+        arg_spaces, values, out, scale = _evaluate(_shape(expr, names), tensors, supports, memo)
+        for v, sp in zip(names, arg_spaces):
+            if spaces.setdefault(v, sp).dim != sp.dim:
+                raise DimensionMismatch(f"{cond.label}: {v} fills slots of dimension {spaces[v].dim} and {sp.dim}")
+        if output is None:
+            output = out
+        elif out.dim != output.dim:
+            raise DimensionMismatch(f"{cond.label}: terms have {output.dim} and {out.dim} entries")
+        terms.append((sign, names, values, scale))
+    common = lcm(*(scale for *_, scale in terms))
+    total: dict[tuple[int, ...], dict[int, int]] = {}
+    for sign, names, values, scale in terms:
+        factor = sign * (common // scale)
+        perm = [names.index(v) for v in cond.variables]
+        for assign, vec in values.items():
+            acc = total.setdefault(tuple(assign[k] for k in perm), {})
+            for j, x in vec.items():
+                acc[j] = acc.get(j, 0) + factor * x
+    return [spaces[v] for v in cond.variables], output, total, common
 
 
 def check(tensors: Mapping[str, MultiMap], conditions: Sequence[Condition]) -> ValidationReport:
@@ -173,33 +202,26 @@ def check(tensors: Mapping[str, MultiMap], conditions: Sequence[Condition]) -> V
     memo: dict[tuple, tuple] = {}  # expression shape -> its value
     out: list[Violation] = []
     for cond in conditions:
-        var_dims: dict[str, int] = {}
-        terms = []
-        n_out = None
-        for sign, expr in cond.terms:
-            names: list[str] = []
-            dims, values, n, scale = _evaluate(_shape(expr, names), tensors, supports, memo)
-            for v, d in zip(names, dims):
-                if var_dims.setdefault(v, d) != d:
-                    raise DimensionMismatch(f"{cond.label}: {v} fills slots of dimension {var_dims[v]} and {d}")
-            if n_out is not None and n != n_out:
-                raise DimensionMismatch(f"{cond.label}: terms have {n_out} and {n} entries")
-            n_out = n
-            terms.append((sign, names, values, scale))
-        common = lcm(*(scale for *_, scale in terms))
-        total: dict[tuple[int, ...], dict[int, int]] = {}
-        for sign, names, values, scale in terms:
-            factor = sign * (common // scale)
-            perm = [names.index(v) for v in cond.variables]
-            for assign, vec in values.items():
-                acc = total.setdefault(tuple(assign[k] for k in perm), {})
-                for j, x in vec.items():
-                    acc[j] = acc.get(j, 0) + factor * x
+        _, output, total, common = _summed(cond, tensors, supports, memo)
         shift = cond.shift or (0,) * len(cond.variables)
         for where in sorted(total):
             vec = total[where]
             if any(vec.values()):
                 where = tuple(i + s for i, s in zip(where, shift))
-                defect = tuple(Fraction(vec.get(j, 0), common) for j in range(n_out))
+                defect = tuple(Fraction(vec.get(j, 0), common) for j in range(output.dim))
                 out.append(Violation(cond.label, where, defect, cond.derived))
     return make_report(out)
+
+
+def tensor(tensors: Mapping[str, MultiMap], variables: Sequence[str], expression: str) -> MultiMap:
+    """The multilinear map whose value at each basis tuple of ``variables``,
+    in that slot order, is the signed sum ``expression``.  Each input space
+    is that of the first slot its variable fills, and the output space that
+    of the first term."""
+    inputs, output, total, common = _summed(Condition(expression, variables, expression), tensors, {}, {})
+    zero = (Fraction(0),) * output.dim
+    coeffs: list[Fraction] = []
+    for where in iter_product(*(range(sp.dim) for sp in inputs)):
+        vec = total.get(where)
+        coeffs.extend(zero if vec is None else (Fraction(vec.get(j, 0), common) for j in range(output.dim)))
+    return MultiMap(tuple(inputs), output, tuple(coeffs))

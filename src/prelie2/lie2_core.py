@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graded_spaces import EndAlgebra, TwoTermComplex, end_algebra
-from .identities import Condition, check, skew
+from .identities import Condition, check, skew, tensor
 from .prelie_base import LieAlgebra
 from .prelie2_core import PreLie2Algebra, PreLie2Hom, validate as validate_prelie2
 from .report import InvalidStructureError, ValidationReport, Violation, make_report, nonzero_entries
@@ -22,9 +22,7 @@ from .scalar_tensor import (
     block_multimap,
     direct_sum,
     ml_compose_linear,
-    vec_add,
     vec_neg,
-    vec_sub,
 )
 
 
@@ -190,36 +188,16 @@ def from_prelie2(a: PreLie2Algebra) -> tuple[Lie2Algebra, Lie2Rep]:
     rep = validate_prelie2(a)
     if not rep.ok:
         raise InvalidStructureError("from_prelie2 needs a valid structure", rep)
-    g0, g1 = a.a0, a.a1
-    l2_00 = MultiMap.build(
-        (g0, g0),
-        g0,
-        lambda i, j: vec_sub(a.mul00.image_of_basis(i, j), a.mul00.image_of_basis(j, i)),
+    t = {"m00": a.mul00, "m01": a.mul01, "m10": a.mul10, "l3": a.l3}
+    lie2 = Lie2Algebra(
+        a.a0,
+        a.a1,
+        a.dm,
+        tensor(t, "xy", "m00(x,y) - m00(y,x)"),
+        tensor(t, "xm", "m01(x,m) - m10(m,x)"),
+        tensor(t, "xyz", "l3(x,y,z) + l3(y,z,x) + l3(z,x,y)"),
     )
-    l2_01 = MultiMap.build(
-        (g0, g1),
-        g1,
-        lambda i, p: vec_sub(a.mul01.image_of_basis(i, p), a.mul10.image_of_basis(p, i)),
-    )
-    l3 = MultiMap.build(
-        (g0, g0, g0),
-        g1,
-        lambda i, j, k: vec_add(
-            a.l3.image_of_basis(i, j, k),
-            vec_add(a.l3.image_of_basis(j, k, i), a.l3.image_of_basis(k, i, j)),
-        ),
-    )
-    lie2 = Lie2Algebra(g0, g1, a.dm, l2_00, l2_01, l3)
-    complex_ = TwoTermComplex(a.a0, a.a1, a.dm)
-    rep_ = Lie2Rep(
-        complex_,
-        a.mul00,
-        a.mul01,
-        a.mul10,
-        MultiMap.build(
-            (g0, g0, g0), g1, lambda i, j, k: vec_neg(a.l3.image_of_basis(i, j, k))
-        ),
-    )
+    rep_ = Lie2Rep(TwoTermComplex(a.a0, a.a1, a.dm), a.mul00, a.mul01, a.mul10, tensor(t, "xyz", "-l3(x,y,z)"))
     return lie2, rep_
 
 
@@ -227,12 +205,7 @@ def hom_from_prelie2hom(
     f: PreLie2Hom, a: PreLie2Algebra, b: PreLie2Algebra
 ) -> Lie2Hom:
     """F2 antisymmetrized: the 2-component of the bracket-level homomorphism."""
-    f2 = MultiMap.build(
-        f.f2.inputs,
-        f.f2.output,
-        lambda i, j: vec_sub(f.f2.image_of_basis(i, j), f.f2.image_of_basis(j, i)),
-    )
-    return Lie2Hom(f.f0, f.f1, f2)
+    return Lie2Hom(f.f0, f.f1, tensor({"f2": f.f2}, "xy", "f2(x,y) - f2(y,x)"))
 
 
 # -- semidirect products ------------------------------------------------------

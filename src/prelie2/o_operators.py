@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from .graded_spaces import TwoTermComplex
-from .identities import Condition, check, skew
+from .identities import Condition, check, skew, tensor
 from .lie2_core import (
     Lie2Algebra,
     Lie2Hom,
@@ -28,13 +28,9 @@ from .report import InvalidStructureError, ValidationReport, Violation, make_rep
 from .scalar_tensor import (
     DirectSum,
     MultiMap,
-    basis_vector,
     block_multimap,
     direct_sum,
-    ml_apply,
     ml_compose_linear,
-    vec_add,
-    vec_neg,
 )
 
 
@@ -106,41 +102,12 @@ def induced_prelie2(t: OOperator) -> PreLie2Algebra:
     rep = validate_o(t)
     if not rep.ok:
         raise InvalidStructureError("induced_prelie2 needs a valid triple", rep)
-    ctx = t.context
-    v = ctx.complex
-    r = ctx.rep
-    mul00 = MultiMap.build(
-        (v.v0, v.v0),
-        v.v0,
-        lambda i, j: ml_apply(r.rho0_0, [ml_apply(t.t0, [basis_vector(v.v0, i)]), basis_vector(v.v0, j)]),
-    )
-    mul01 = MultiMap.build(
-        (v.v0, v.v1),
-        v.v1,
-        lambda i, p: ml_apply(r.rho0_1, [ml_apply(t.t0, [basis_vector(v.v0, i)]), basis_vector(v.v1, p)]),
-    )
-    mul10 = MultiMap.build(
-        (v.v1, v.v0),
-        v.v1,
-        lambda p, i: ml_apply(r.rho1, [ml_apply(t.t1, [basis_vector(v.v1, p)]), basis_vector(v.v0, i)]),
-    )
-    l3 = MultiMap.build(
-        (v.v0, v.v0, v.v0),
-        v.v1,
-        lambda i, j, k: vec_neg(
-            vec_add(
-                ml_apply(r.rho1, [t.t2.image_of_basis(i, j), basis_vector(v.v0, k)]),
-                ml_apply(
-                    r.rho2,
-                    [
-                        ml_apply(t.t0, [basis_vector(v.v0, i)]),
-                        ml_apply(t.t0, [basis_vector(v.v0, j)]),
-                        basis_vector(v.v0, k),
-                    ],
-                ),
-            )
-        ),
-    )
+    r, v = t.context.rep, t.context.complex
+    ts = {"t0": t.t0, "t1": t.t1, "t2": t.t2, "r00": r.rho0_0, "r01": r.rho0_1, "r1": r.rho1, "r2": r.rho2}
+    mul00 = tensor(ts, "uv", "r00(t0(u),v)")
+    mul01 = tensor(ts, "um", "r01(t0(u),m)")
+    mul10 = tensor(ts, "mu", "r1(t1(m),u)")
+    l3 = tensor(ts, "uvw", "-r1(t2(u,v),w) - r2(t0(u),t0(v),w)")
     return PreLie2Algebra(v.v0, v.v1, v.dm, mul00, mul01, mul10, l3)
 
 

@@ -8,19 +8,11 @@ slots only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 
-from .identities import Condition, check, skew
+from .identities import Condition, check, skew, tensor
 from .prelie_base import Cochain, PreLieAlgebra, PreLieRep, coboundary, validate_prelie, validate_prelie_rep
-from .report import InvalidStructureError, ValidationReport, Violation, make_report, nonzero_entries
-from .scalar_tensor import (
-    MultiMap,
-    Space,
-    ml_apply,
-    ml_compose_linear,
-    vec_add,
-    vec_is_zero,
-)
+from .report import InvalidStructureError, ValidationReport, make_report, nonzero_entries
+from .scalar_tensor import MultiMap, Space, ml_compose_linear
 
 
 @dataclass(frozen=True)
@@ -122,18 +114,11 @@ def identity_hom(a: PreLie2Algebra) -> PreLie2Hom:
 
 def compose_hom(g: PreLie2Hom, f: PreLie2Hom) -> PreLie2Hom:
     """(GF)_2(u, v) = G_2(F_0 u, F_0 v) + G_1(F_2(u, v))."""
-    f0 = ml_compose_linear(g.f0, f.f0)
-    f1 = ml_compose_linear(g.f1, f.f1)
-    src = f.f2.inputs
+    f2 = tensor({"g1": g.f1, "g2": g.f2, "f0": f.f0, "f2": f.f2}, "uv", "g2(f0(u),f0(v)) + g1(f2(u,v))")
+    return PreLie2Hom(ml_compose_linear(g.f0, f.f0), ml_compose_linear(g.f1, f.f1), f2)
 
-    def f2(i, j):
-        u = f.f0.image_of_basis(i)
-        v = f.f0.image_of_basis(j)
-        return vec_add(
-            ml_apply(g.f2, [u, v]), ml_apply(g.f1, [f.f2.image_of_basis(i, j)])
-        )
 
-    return PreLie2Hom(f0, f1, MultiMap.build(src, g.f2.output, f2))
+_COCYCLE = (Condition("cocycle", "uvwx", "d(u,v,w,x)"),)
 
 
 def build_skeletal(a: PreLieAlgebra, rep: PreLieRep, l3: Cochain) -> PreLie2Algebra:
@@ -147,22 +132,12 @@ def build_skeletal(a: PreLieAlgebra, rep: PreLieRep, l3: Cochain) -> PreLie2Alge
         raise InvalidStructureError("build_skeletal: representation invalid", rep_r)
     if l3.n != 3 or l3.map.output != rep.space:
         raise InvalidStructureError("build_skeletal: cochain must be 3-ary into V", make_report([]))
-    d = coboundary(l3, a, rep)
-    if not d.map.is_zero():
-        bad = next(
-            idx
-            for idx in iter_product(*(range(sp.dim) for sp in d.map.inputs))
-            if not vec_is_zero(d.map.image_of_basis(*idx))
-        )
-        raise InvalidStructureError(
-            "build_skeletal: cochain is not closed",
-            make_report([Violation("cocycle", bad, d.map.image_of_basis(*bad))]),
-        )
+    closed = check({"d": coboundary(l3, a, rep).map}, _COCYCLE)
+    if not closed.ok:
+        raise InvalidStructureError("build_skeletal: cochain is not closed", closed)
     a0, a1 = a.space, rep.space
-    mul10 = MultiMap.build((a1, a0), a1, lambda p, i: rep.mu.image_of_basis(i, p))
-    structure = PreLie2Algebra(
-        a0, a1, MultiMap.zero((a1,), a0), a.mul, rep.rho, mul10, l3.map
-    )
+    mul10 = tensor({"mu": rep.mu}, "mu", "mu(u,m)")
+    structure = PreLie2Algebra(a0, a1, MultiMap.zero((a1,), a0), a.mul, rep.rho, mul10, l3.map)
     rep_s = validate(structure)
     if not rep_s.ok:
         raise InvalidStructureError("build_skeletal: assembled structure invalid", rep_s)
@@ -177,5 +152,5 @@ def classify_skeletal(a: PreLie2Algebra) -> tuple[PreLieAlgebra, PreLieRep, Coch
     if not rep.ok:
         raise InvalidStructureError("classify_skeletal: structure invalid", rep)
     algebra = PreLieAlgebra(a.a0, a.mul00)
-    mu = MultiMap.build((a.a0, a.a1), a.a1, lambda i, p: a.mul10.image_of_basis(p, i))
+    mu = tensor({"m10": a.mul10}, "um", "m10(m,u)")
     return algebra, PreLieRep(a.a1, a.mul01, mu), Cochain(3, a.l3)

@@ -239,6 +239,23 @@ def test_unit_guards_carry_the_nonzero_entries():
     ]
 
 
+def test_jac_source_reports_every_triple_with_the_wrong_object_part():
+    # adding unit(e_0) to J at two triples moves the object part of split J by e_0 there
+    c = functor_T(fix_b())
+    nm = c.space.mor.dim
+    w = MultiMap.build((c.space.mor,), c.space.mor, lambda i: basis_vector(nm, (i + 1) % nm))
+    raw = rebase_cat(c, w)
+    wrong = ((0, 1, 1), (1, 0, 1))
+    shift = raw.unit.image_of_basis(0)
+    bump = MultiMap.build(raw.jac.inputs, raw.jac.output, lambda *idx: shift if idx in wrong else (0,) * nm)
+    with pytest.raises(InvalidStructureError) as exc:
+        split_presentation(dataclasses.replace(raw, jac=raw.jac + bump))
+    assert [(v.condition, v.where, v.defect) for v in exc.value.report.violations] == [
+        ("jac-source", (0, 1, 1), (Fraction(1), Fraction(0))),
+        ("jac-source", (1, 0, 1), (Fraction(1), Fraction(0))),
+    ]
+
+
 def test_coherence_certified_through_extraction():
     # condition (c) of the extracted structure certifies the pasting diagram
     om = fix_omega()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prelie2.identities import Condition, check, parse_terms, skew
+from prelie2.identities import Condition, check, parse_terms, skew, tensor
 from prelie2.lie2_core import Lie2Hom, validate_hom, zero_lie2
 from prelie2.scalar_tensor import DimensionMismatch, MultiMap, Space, basis_vector, ml_apply, vec_add, vec_neg
 
@@ -130,3 +130,47 @@ def test_terms_of_scales_two_and_three_cancel():
 def test_terms_of_scales_two_and_three_leave_a_sixth():
     report = _scaled_pair((Fraction(1, 2), Fraction(0)), (Fraction(1, 3), Fraction(0)))
     assert [(v.where, v.defect) for v in report.violations] == [((0,), (Fraction(1, 6),))]
+
+
+TENSOR = "p(d(m),q(x,y)) - q(p(d(m),x),y) + r(m,x,y)"
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n0=st.integers(0, 3), n1=st.integers(0, 3))
+def test_tensor_equals_evaluation_on_basis_tuples(data, n0, n1):
+    a, b, c = Space(n0, "a"), Space(n1, "b"), Space(n0, "c")
+
+    def draw(inputs, output):
+        size = len(MultiMap.zero(inputs, output).coeffs)
+        return MultiMap(inputs, output, tuple(data.draw(st.lists(mixed, min_size=size, max_size=size))))
+
+    p, q, r, d = draw((a, a), a), draw((c, a), a), draw((b, a, a), a), draw((b,), a)
+    # slot order (y, m, x): not the order of appearance (m, x, y)
+    got = tensor({"p": p, "q": q, "r": r, "d": d}, "ymx", TENSOR)
+
+    def image(j, i, k):
+        m, x, y = basis_vector(n1, i), basis_vector(n0, k), basis_vector(n0, j)
+        dm = ml_apply(d, [m])
+        lhs = vec_add(ml_apply(p, [dm, ml_apply(q, [x, y])]), ml_apply(r, [m, x, y]))
+        return vec_add(lhs, vec_neg(ml_apply(q, [ml_apply(p, [dm, x]), y])))
+
+    # x and y first fill the slots of q, which are labelled c and a; m that of d
+    assert got == MultiMap.build((a, b, c), a, image)
+    assert all(type(x) is Fraction for x in got.coeffs)
+
+
+def test_tensor_of_zero_support_is_the_zero_map_on_the_right_spaces():
+    a, b, c = Space(2, "a"), Space(3, "b"), Space(1, "c")
+    tensors = {"h": MultiMap.zero((a, b), c), "k": MultiMap.zero((c,), b)}
+    assert tensor(tensors, "yx", "k(h(x,y))") == MultiMap.zero((b, a), b)
+
+
+def test_tensor_rejects_a_slot_mismatch():
+    a, b = Space(2, "a"), Space(3, "b")
+    mul, d = MultiMap.zero((a, a), a), MultiMap.zero((a,), b)
+    with pytest.raises(DimensionMismatch):  # d(x) has 3 entries, mul's slot takes 2
+        tensor({"mul": mul, "d": d}, "xy", "mul(d(x),y)")
+    with pytest.raises(DimensionMismatch):  # x fills a slot of dim 2 and one of dim 3
+        tensor({"mul": mul, "e": MultiMap.zero((b, a), a)}, "xy", "mul(x,y) - e(x,y)")
+    with pytest.raises(DimensionMismatch):  # the terms have 2 and 3 entries
+        tensor({"mul": mul, "f": MultiMap.zero((a, a), b)}, "xy", "mul(x,y) - f(x,y)")

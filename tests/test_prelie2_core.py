@@ -313,7 +313,11 @@ def test_build_skeletal_rejects_non_cocycle():
     assert non_cocycle is not None
     with pytest.raises(InvalidStructureError) as exc:
         build_skeletal(alg, rep, non_cocycle)
-    assert any(v.condition == "cocycle" for v in exc.value.report.violations)
+    d = coboundary(non_cocycle, alg, rep).map
+    nonzero = [(idx, d.image_of_basis(*idx)) for idx in product(range(3), repeat=4) if any(d.image_of_basis(*idx))]
+    assert [(v.condition, v.where, v.defect) for v in exc.value.report.violations] == [
+        ("cocycle", idx, image) for idx, image in nonzero
+    ]
 
 
 def test_classify_round_trips():

@@ -50,7 +50,7 @@ LABELS = {
     "prelie_base.validate_prelie": {"assoc-sym"},
     "prelie_base.validate_lie": {"antisym", "jacobi"},
     "prelie_base.validate_prelie_rep": {"rep-lie", "rep-mul"},
-    "prelie_base.validate_cochain": {"skew-01", "skew-02", "skew-12", "skew-diag"},
+    "prelie_base.validate_cochain": {"skew-01", "skew-02", "skew-12"},
     "prelie_base.validate_invariant_form": {"form-skew", "form-invariance"},
     "crossed_modules.validate_cm": {
         "prelie-0.assoc-sym", "prelie-1.assoc-sym", "action.rep-lie", "action.rep-mul",
