@@ -126,13 +126,17 @@ def validate_cat(c: CatPreLie2) -> ValidationReport:
     return check(tensors, _FUNCTOR_LAWS)
 
 
+def _split_space(a: PreLie2Algebra) -> TwoVectorSpace:
+    return TwoVectorSpace(TwoTermComplex(a.a0, a.a1, a.dm))
+
+
 def functor_T(a: PreLie2Algebra) -> CatPreLie2:
     """(u+m) ⋆ (v+n) = u·v + u·n + m·v + (dM m)·n, with the homotopy as the
     kernel component of the associator isomorphism."""
     rep = validate_prelie2(a)
     if not rep.ok:
         raise InvalidStructureError("functor_T needs a valid structure", rep)
-    sp = TwoVectorSpace(TwoTermComplex(a.a0, a.a1, a.dm))
+    sp = _split_space(a)
     star_mor = tensor(
         {**_split_maps(sp), "d": a.dm, "m00": a.mul00, "m01": a.mul01, "m10": a.mul10},
         "fg",
@@ -158,8 +162,9 @@ def functor_S(c: CatPreLie2) -> PreLie2Algebra:
 
 
 def hom_T(f: PreLie2Hom, a: PreLie2Algebra, b: PreLie2Algebra) -> CatHom:
-    """Phi1 = F0 ⊕ F1 and Phi2(u, v) = (F0 u ·' F0 v) + F2(u, v)."""
-    maps = {**_split_maps(functor_T(a).space), **_split_maps(functor_T(b).space, "'")}
+    """Phi1 = F0 ⊕ F1 and Phi2(u, v) = (F0 u ·' F0 v) + F2(u, v), between
+    the split spaces of T(a) and T(b); a and b are not validated here."""
+    maps = {**_split_maps(_split_space(a)), **_split_maps(_split_space(b), "'")}
     tensors = {**maps, "f0": f.f0, "f1": f.f1, "f2": f.f2, "m00'": b.mul00}
     phi1 = tensor(tensors, "f", "e0'(f0(p0(f))) + e1'(f1(p1(f)))")
     phi2 = tensor(tensors, "uv", "e0'(m00'(f0(u),f0(v))) + e1'(f2(u,v))")

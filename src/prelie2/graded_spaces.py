@@ -8,9 +8,11 @@ condition exactly, so downstream tensors over End are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 
+from .identities import Condition, rows, solution
 from .scalar_tensor import (
+    ONE,
+    ZERO,
     MultiMap,
     Space,
     Vector,
@@ -73,6 +75,20 @@ def _flatten_pair(a0: MultiMap, a1: MultiMap) -> Vector:
     return tuple(a0.coeffs) + tuple(a1.coeffs)
 
 
+def _unit_entries(units: Space, sp: Space, offset: int) -> MultiMap:
+    """E(c, -) for c in ``units``: the unit endomorphism of ``sp`` whose flat
+    coefficient c - offset is 1, or zero when c lies outside that range."""
+    size = sp.dim * sp.dim
+    coeffs = [ZERO] * (units.dim * size)
+    for t in range(size):
+        coeffs[(offset + t) * size + t] = ONE
+    return MultiMap((units, sp), sp, tuple(coeffs))
+
+
+# A = sum_c x_c (E0(c, -), E1(c, -)) commutes with dm
+_CHAIN = (Condition("chain", "cy", "E0(c,dm(y)) - dm(E1(c,y))"),)
+
+
 def end_algebra(v: TwoTermComplex) -> EndAlgebra:
     """The strict 2-algebra of endomorphisms of a 2-term complex.
 
@@ -85,24 +101,11 @@ def end_algebra(v: TwoTermComplex) -> EndAlgebra:
     from .lie2_core import Lie2Algebra
 
     n0, n1 = v.v0.dim, v.v1.dim
-    nvars = n0 * n0 + n1 * n1
-    # rows: (A0 ∘ dm)(f_p) = (dm ∘ A1)(f_p), component e_q
-    rows = []
-    for p, q in iter_product(range(n1), range(n0)):
-        row = [Fraction(0)] * nvars
-        for i in range(n0):
-            row[i * n0 + q] += v.dm.entry(p, i)  # A0[i][q] * dm[p][i]
-        for r in range(n1):
-            row[n0 * n0 + p * n1 + r] -= v.dm.entry(r, q)  # A1[p][r] * dm[r][q]
-        rows.append(row)
-    kernel, free = kernel_with_free_columns(rows, nvars)
-
-    def unflatten(vec: Vector) -> tuple[MultiMap, MultiMap]:
-        a0 = MultiMap((v.v0,), v.v0, tuple(vec[: n0 * n0]))
-        a1 = MultiMap((v.v1,), v.v1, tuple(vec[n0 * n0 :]))
-        return a0, a1
-
-    pairs = tuple(unflatten(vec) for vec in kernel)
+    units = Space(n0 * n0 + n1 * n1, f"End({v.v0.label})+End({v.v1.label})")
+    e0, e1 = _unit_entries(units, v.v0, 0), _unit_entries(units, v.v1, n0 * n0)
+    system = rows({"E0": e0, "E1": e1, "dm": v.dm}, _CHAIN, "c")
+    kernel, free = kernel_with_free_columns(system, units.dim)
+    pairs = tuple((solution(e0, vec), solution(e1, vec)) for vec in kernel)
     g0 = Space(len(pairs), f"End0({v.v1.label}->{v.v0.label})")
     g1 = Space(n0 * n1, f"End1({v.v0.label}->{v.v1.label})")
 

@@ -9,7 +9,8 @@ It is computed by contracting the nonzero entries of each tensor, so the
 cost follows the nonzero entries and not the number of basis tuples.  One
 ``Violation`` is reported per basis tuple with a nonzero defect.  The same
 signed sum, taken at every basis tuple, is also how a construction builds a
-tensor (``tensor``).
+tensor (``tensor``), and how a solver writes the linear system that a table
+puts on an unknown map (``rows``).
 
 The contraction runs over Python ints: each tensor's entries are read as
 numerators over the lcm of their denominators, a value carries the product
@@ -24,11 +25,11 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
-from math import lcm
+from math import lcm, prod
 from typing import Mapping, Sequence
 
 from .report import ValidationReport, Violation, make_report
-from .scalar_tensor import DimensionMismatch, MultiMap, Space
+from .scalar_tensor import ZERO, DimensionMismatch, MultiMap, Space
 
 Term = tuple[int, tuple]  # (sign, (tensor name, *arguments)); an argument is a name or a tuple
 
@@ -225,3 +226,40 @@ def tensor(tensors: Mapping[str, MultiMap], variables: Sequence[str], expression
         vec = total.get(where)
         coeffs.extend(zero if vec is None else (Fraction(vec.get(j, 0), common) for j in range(output.dim)))
     return MultiMap(tuple(inputs), output, tuple(coeffs))
+
+
+def rows(tensors: Mapping[str, MultiMap], conditions: Sequence[Condition], unknown: str) -> list[list[Fraction]]:
+    """The linear system that ``conditions`` put on a map X = sum_c x_c E(c, ...),
+    where E is a fixed embedding tensor and the variable ``unknown`` fills its
+    first slot.  Every term uses ``unknown`` once, so each is linear in the
+    coordinates x_c.  There is one row per basis tuple of the other variables
+    and output component, in sorted order, and one column per basis index of
+    ``unknown``; rows that would be zero are left out."""
+    supports: dict[str, tuple] = {}
+    memo: dict[tuple, tuple] = {}
+    out: list[list[Fraction]] = []
+    for cond in conditions:
+        spaces, _, total, common = _summed(cond, tensors, supports, memo)
+        k = list(cond.variables).index(unknown)
+        by_row: dict[tuple, list[Fraction]] = {}
+        for where, vec in total.items():
+            rest = where[:k] + where[k + 1 :]
+            for j, x in vec.items():
+                if x:
+                    by_row.setdefault((rest, j), [ZERO] * spaces[k].dim)[where[k]] = Fraction(x, common)
+        out += (by_row[key] for key in sorted(by_row))
+    return out
+
+
+def solution(embedding: MultiMap, coords: Sequence[Fraction]) -> MultiMap:
+    """The map sum_c coords[c] E(c, ...) that a kernel vector of ``rows``
+    stands for, E being the embedding the unknown was written with."""
+    inputs = embedding.inputs[1:]
+    block = embedding.output.dim * prod(sp.dim for sp in inputs)
+    coeffs = [ZERO] * block
+    for c, x in enumerate(coords):
+        if x:
+            for t, e in enumerate(embedding.coeffs[c * block : (c + 1) * block]):
+                if e:
+                    coeffs[t] += x * e
+    return MultiMap(inputs, embedding.output, tuple(coeffs))

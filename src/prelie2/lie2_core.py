@@ -87,11 +87,14 @@ _AXIOMS = (
     Condition("ii", "xyz", "d(l3(x,y,z)) - l2(x,l2(y,z)) - l2(y,l2(z,x)) - l2(z,l2(x,y))"),
     # l2(y, l2(m, x)) = l2(y, -l2(x, m)); l2(m, l2(x, y)) = -l2(l2(x, y), m)
     Condition("iii", "xym", "l3(x,y,d(m)) - l2m(x,l2m(y,m)) + l2m(y,l2m(x,m)) + l2m(l2(x,y),m)"),
-    # sum_i (-1)^i l2(x_i, l3(the rest)) + sum_{i<j} (-1)^(i+j+1) l3(l2(x_i, x_j), the rest)
+    # with (x_1, ..., x_4) = (w, x, y, z): sum_i (-1)^i l2(x_i, l3(the rest))
+    # + sum_{i<j} (-1)^(i+j+1) l3(l2(x_i, x_j), the rest), the arity-4 relation
+    # of Lada and Markl (1995); for d = 0 it is minus the Chevalley-Eilenberg
+    # coboundary of l3, so l3 must be a 3-cocycle
     Condition(
         "iv",
         "wxyz",
-        "l2m(w,l3(x,y,z)) - l2m(x,l3(w,y,z)) + l2m(y,l3(w,x,z)) - l2m(z,l3(w,x,y))"
+        "- l2m(w,l3(x,y,z)) + l2m(x,l3(w,y,z)) - l2m(y,l3(w,x,z)) + l2m(z,l3(w,x,y))"
         " + l3(l2(w,x),y,z) - l3(l2(w,y),x,z) + l3(l2(w,z),x,y)"
         " + l3(l2(x,y),w,z) - l3(l2(x,z),w,y) + l3(l2(y,z),w,x)",
     ),

@@ -8,21 +8,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product as iter_product
+from itertools import combinations
 
-from .identities import Condition, check, skew, tensor
+from .identities import Condition, check, rows, skew, solution, tensor
 from .report import InvalidStructureError, ValidationReport, make_report, nonzero_entries
-from .scalar_tensor import (
-    ZERO,
-    MultiMap,
-    Space,
-    Vector,
-    basis_vector,
-    kernel_of_rows,
-    ml_apply,
-    vec_neg,
-    vec_sub,
-)
+from .scalar_tensor import ONE, ZERO, MultiMap, Space, Vector, kernel_of_rows, ml_apply
 
 SCALAR_LINE = Space(1, "k")
 
@@ -148,16 +138,15 @@ def sub_adjacent(a: PreLieAlgebra) -> LieAlgebra:
     return LieAlgebra(a.space, tensor({"mul": a.mul}, "xy", "mul(x,y) - mul(y,x)"))
 
 
-def left_multiplication(a: PreLieAlgebra, x: Vector) -> MultiMap:
-    return MultiMap.build(
-        (a.space,), a.space, lambda j: ml_apply(a.mul, [x, basis_vector(a.space, j)])
-    )
-
-
-def right_multiplication(a: PreLieAlgebra, x: Vector) -> MultiMap:
-    return MultiMap.build(
-        (a.space,), a.space, lambda j: ml_apply(a.mul, [basis_vector(a.space, j), x])
-    )
+def dual_regular_rep(a: PreLieAlgebra) -> PreLieRep:
+    """(A*; ad*, -R*) on dual bases, with no validation:
+    <ad*_x xi, y> = -<xi, [x, y]> and <-R*_x xi, y> = <xi, y.x>."""
+    n = a.space.dim
+    dual = Space(n, a.space.label + "*")
+    m = a.mul.entry
+    ad_star = MultiMap.build((a.space, dual), dual, lambda i, p: tuple(m(q, i, p) - m(i, q, p) for q in range(n)))
+    neg_r_star = MultiMap.build((a.space, dual), dual, lambda i, p: tuple(m(q, i, p) for q in range(n)))
+    return PreLieRep(dual, ad_star, neg_r_star)
 
 
 def standard_reps(a: PreLieAlgebra) -> dict[str, PreLieRep]:
@@ -165,35 +154,8 @@ def standard_reps(a: PreLieAlgebra) -> dict[str, PreLieRep]:
     rep = validate_prelie(a)
     if not rep.ok:
         raise InvalidStructureError("standard_reps needs a valid pre-Lie algebra", rep)
-    n = a.space.dim
     left_mu = tensor({"mul": a.mul}, "xy", "mul(y,x)")
-    dual_space = Space(n, a.space.label + "*")
-
-    def dual_images(star_of):
-        # matrix of the negative transpose of star_of(x), per basis x
-        def img(i, p):
-            x = basis_vector(a.space, i)
-            op = star_of(a, x)
-            return tuple(-op.entry(q, p) for q in range(n))
-
-        return img
-
-    ad_star = MultiMap.build(
-        (a.space, dual_space),
-        dual_space,
-        lambda i, p: vec_sub(
-            dual_images(left_multiplication)(i, p), dual_images(right_multiplication)(i, p)
-        ),
-    )
-    neg_r_star = MultiMap.build(
-        (a.space, dual_space),
-        dual_space,
-        lambda i, p: vec_neg(dual_images(right_multiplication)(i, p)),
-    )
-    return {
-        "left": PreLieRep(a.space, a.mul, left_mu),
-        "dual": PreLieRep(dual_space, ad_star, neg_r_star),
-    }
+    return {"left": PreLieRep(a.space, a.mul, left_mu), "dual": dual_regular_rep(a)}
 
 
 def zero_rep(a: PreLieAlgebra, v: Space) -> PreLieRep:
@@ -245,49 +207,28 @@ def cocycle_from_form(a: PreLieAlgebra, form: InvariantForm) -> Cochain:
     return cochain
 
 
-def _invariance_rows(a: PreLieAlgebra) -> list[list[Fraction]]:
-    """The invariance system over the skew forms, one row per basis triple
-    (i, j, k) and one column per pair p < q:
-    omega([e_i, e_j], e_k) + omega(e_j, e_i.e_k) for omega(e_p, e_q) = 1."""
-    n = a.space.dim
+def skew_units(n: int) -> tuple[Fraction, ...]:
+    """The flat coefficients of the skew units e_p∧e_q, one per pair p < q in
+    order, over the slots (pair, p, q): unit k is 1 at (p, q) and -1 at (q, p)."""
     pairs = list(combinations(range(n), 2))
-    m = a.mul.entry
-    rows = []
-    for i, j, k in iter_product(range(n), repeat=3):
-        row = []
-        for p, q in pairs:
-            val = ZERO
-            if k == q:
-                val += m(i, j, p) - m(j, i, p)
-            if k == p:
-                val -= m(i, j, q) - m(j, i, q)
-            if j == p:
-                val += m(i, k, q)
-            if j == q:
-                val -= m(i, k, p)
-            row.append(val)
-        rows.append(row)
-    return rows
+    coeffs = [ZERO] * (len(pairs) * n * n)
+    for k, (p, q) in enumerate(pairs):
+        coeffs[(k * n + p) * n + q] = ONE
+        coeffs[(k * n + q) * n + p] = -ONE
+    return tuple(coeffs)
+
+
+# P(c, -, -) is the c-th skew unit form
+_INVARIANCE = (Condition("form-invariance", "cuvw", "P(c,mul(u,v),w) - P(c,mul(v,u),w) + P(c,v,mul(u,w))"),)
 
 
 def invariant_forms(a: PreLieAlgebra) -> list[InvariantForm]:
     """Exact solve of the invariance system over the skew bilinear forms."""
     n = a.space.dim
-    pairs = list(combinations(range(n), 2))  # omega(e_i, e_j) for i < j
-    if not pairs:
-        return []
-
-    def omega_of(coords) -> MultiMap:
-        grid = [[Fraction(0)] * n for _ in range(n)]
-        for c, (i, j) in zip(coords, pairs):
-            grid[i][j] = c
-            grid[j][i] = -c
-        return MultiMap.build(
-            (a.space, a.space), SCALAR_LINE, lambda i, j: (grid[i][j],)
-        )
-
-    basis = kernel_of_rows(_invariance_rows(a), len(pairs))
-    return [InvariantForm(omega_of(coords)) for coords in basis]
+    pairs = Space(n * (n - 1) // 2, "pairs")
+    units = MultiMap((pairs, a.space, a.space), SCALAR_LINE, skew_units(n))
+    system = rows({"P": units, "mul": a.mul}, _INVARIANCE, "c")
+    return [InvariantForm(solution(units, coords)) for coords in kernel_of_rows(system, pairs.dim)]
 
 
 def skeletal_from_form(a: PreLieAlgebra, form: InvariantForm):

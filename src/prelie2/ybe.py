@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from .graded_spaces import TwoTermComplex
-from .identities import Condition, check
+from .identities import Condition, check, rows, solution, tensor
 from .lie2_core import (
     Lie2Algebra,
     Lie2Rep,
@@ -25,17 +25,19 @@ from .lie2_core import (
     semidirect_strict,
 )
 from .o_operators import OOperatorContext
-from .prelie_base import SCALAR_LINE, LieAlgebra, LieRep, PreLieAlgebra, sub_adjacent, validate_prelie
+from .prelie_base import (
+    SCALAR_LINE,
+    LieAlgebra,
+    LieRep,
+    PreLieAlgebra,
+    dual_regular_rep,
+    skew_units,
+    sub_adjacent,
+    validate_prelie,
+)
 from .prelie2_core import PreLie2Algebra, is_strict, validate as validate_prelie2
 from .report import InvalidStructureError, ValidationReport, Violation, nonzero_entries
-from .scalar_tensor import (
-    ZERO,
-    MultiMap,
-    Space,
-    block_multimap,
-    direct_sum,
-    kernel_of_rows,
-)
+from .scalar_tensor import MultiMap, Space, block_multimap, direct_sum, kernel_of_rows
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -297,26 +299,10 @@ def canonical_solution(a: PreLie2Algebra) -> tuple[Tensor2Element, Matrix, Lie2A
 
 
 def _dual_products(a: PreLieAlgebra):
-    """mul01(x, xi) = ad*_x xi and mul10(xi, x) = -R*_x xi on dual bases."""
-    n = a.space.dim
-    dual = Space(n, a.space.label + "*")
-
-    def ad_star(i, p):
-        # <ad*_x xi, y> = -<xi, [x, y]>
-        return tuple(
-            -(a.mul.entry(i, q, p) - a.mul.entry(q, i, p)) for q in range(n)
-        )
-
-    def neg_r_star(p, i):
-        # <-R*_x xi, y> = <xi, y.x>
-        return tuple(a.mul.entry(q, i, p) for q in range(n))
-
-    mul01 = MultiMap.build((a.space, dual), dual, ad_star)
-    mul10 = MultiMap.build((dual, a.space), dual, neg_r_star)
-    l2_01 = MultiMap.build(
-        (a.space, dual), dual, lambda i, p: tuple(-a.mul.entry(i, q, p) for q in range(n))
-    )
-    return dual, mul01, mul10, l2_01
+    """mul01(x, xi) = ad*_x xi, mul10(xi, x) = -R*_x xi and l2_01 = ad*_x + R*_x
+    on dual bases."""
+    rep = dual_regular_rep(a)
+    return rep.space, rep.rho, tensor({"mu": rep.mu}, "px", "mu(x,p)"), rep.rho - rep.mu
 
 
 def a_astar_bridge(a: PreLieAlgebra, dm: MultiMap) -> dict:
@@ -367,45 +353,12 @@ def a_astar_bridge(a: PreLieAlgebra, dm: MultiMap) -> dict:
     }
 
 
-def _bridge_rows(a: PreLieAlgebra, mul01: MultiMap, mul10: MultiMap) -> list[list[Fraction]]:
-    """The bridge's differential-compatibility system over the skew maps
-    A* -> A, one column per unit map dm_pq: xi_p -> e_q, xi_q -> -e_p (p < q).
-    Rows come per equation, then per output component c: (a1)
-    dm(x.xi) - x.(dm xi) and (a2) dm(xi.x) - (dm xi).x for each (e_i, xi_s),
-    then (a3) (dm xi).eta - xi.(dm eta) for each (xi_s, xi_u)."""
-    n = a.space.dim
-    params = [(p, q) for p in range(n) for q in range(n) if p < q]
-    col = {pq: t for t, pq in enumerate(params)}
-    m, m01, m10 = a.mul.entry, mul01.entry, mul10.entry
-
-    def dm_of(c, v):
-        # component c of dm(sum_l v(l) xi_l), as (column, value) pairs
-        return [(col[l, c], v(l)) for l in range(c)] + [(col[c, l], -v(l)) for l in range(c + 1, n)]
-
-    def on_dm(s, f):
-        # f(dm xi_s) for f linear in e_l, as (column, value) pairs
-        return [(col[s, l], f(l)) for l in range(s + 1, n)] + [(col[l, s], -f(l)) for l in range(s)]
-
-    def row(plus, minus):
-        out = [ZERO] * len(params)
-        for t, x in plus:
-            if x:
-                out[t] += x
-        for t, x in minus:
-            if x:
-                out[t] -= x
-        return out
-
-    rows: list[list[Fraction]] = []
-    for i, s in iter_product(range(n), repeat=2):
-        for c in range(n):
-            rows.append(row(dm_of(c, lambda l: m01(i, s, l)), on_dm(s, lambda l: m(i, l, c))))
-        for c in range(n):
-            rows.append(row(dm_of(c, lambda l: m10(s, i, l)), on_dm(s, lambda l: m(l, i, c))))
-    for s, u in iter_product(range(n), repeat=2):
-        for c in range(n):
-            rows.append(row(on_dm(s, lambda l: m01(l, u, c)), on_dm(u, lambda l: m10(s, l, c))))
-    return rows
+# D(k, -) is the k-th skew unit map A* -> A: xi_p -> e_q, xi_q -> -e_p (p < q)
+_BRIDGE = (
+    Condition("a1", "kis", "D(k,m01(i,s)) - mul(i,D(k,s))"),
+    Condition("a2", "kis", "D(k,m10(s,i)) - mul(D(k,s),i)"),
+    Condition("a3", "ksu", "m01(D(k,s),u) - m10(s,D(k,u))"),
+)
 
 
 def bridge_dm_solutions(a: PreLieAlgebra) -> list[MultiMap]:
@@ -413,16 +366,7 @@ def bridge_dm_solutions(a: PreLieAlgebra) -> list[MultiMap]:
     differential-compatibility constraints of the bridge."""
     dual, mul01, mul10, _ = _dual_products(a)
     n = a.space.dim
-    params = [(p, q) for p in range(n) for q in range(n) if p < q]
-    if not params:
-        return []
-
-    def dm_of(coords) -> MultiMap:
-        grid = [[Fraction(0)] * n for _ in range(n)]
-        for c, (p, q) in zip(coords, params):
-            grid[p][q] = c
-            grid[q][p] = -c
-        return MultiMap.build((dual,), a.space, lambda p: tuple(grid[p]))
-
-    rows = _bridge_rows(a, mul01, mul10)
-    return [dm_of(coords) for coords in kernel_of_rows(rows, len(params))]
+    pairs = Space(n * (n - 1) // 2, "pairs")
+    units = MultiMap((pairs, dual), a.space, skew_units(n))
+    system = rows({"D": units, "mul": a.mul, "m01": mul01, "m10": mul10}, _BRIDGE, "k")
+    return [solution(units, coords) for coords in kernel_of_rows(system, pairs.dim)]

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import block_sum
 from prelie2.cli import main
 from prelie2.fileio import (
     KINDS,
@@ -19,7 +21,12 @@ from prelie2.fileio import (
     parse_document,
     read_file,
     serialize_document,
+    write_file,
 )
+from prelie2.fixtures import fix_c, fix_d
+from prelie2.prelie2_core import classify_skeletal
+from prelie2.prelie_base import Cochain, coboundary
+from prelie2.scalar_tensor import MultiMap, basis_vector, vec_neg, zero_vector
 
 
 def run(*argv) -> int:
@@ -100,6 +107,24 @@ def test_construct_lie2_then_verify(fixture_dir, tmp_path):
     assert run("construct", "lie2", str(fixture_dir / "fix_b.json"), "-o", str(out)) == 0
     assert run("verify", str(out)) == 0
     assert read_file(out).kind == "lie2"
+
+
+def test_construct_lie2_on_a_theta_twisted_sum(tmp_path):
+    # FIX-C+D with l3 - δθ, θ(e0, e3) = -θ(e3, e0) = f0, is valid; its Lie image
+    # has l3 a nonzero CE 3-cocycle
+    a = block_sum(fix_c(), fix_d())
+    algebra, rep, _ = classify_skeletal(a)
+    f0 = basis_vector(a.a1, 0)
+    theta = MultiMap.build(
+        (a.a0, a.a0), a.a1, lambda i, j: f0 if (i, j) == (0, 3) else vec_neg(f0) if (i, j) == (3, 0) else zero_vector(a.a1)
+    )
+    twisted = replace(a, l3=a.l3 - coboundary(Cochain(2, theta), algebra, rep).map)
+    path, out = tmp_path / "twisted.json", tmp_path / "lie2.json"
+    write_file(path, file_from("prelie2", twisted))
+    assert run("verify", str(path)) == 0
+    assert run("construct", "lie2", str(path), "-o", str(out)) == 0
+    assert run("verify", str(out)) == 0
+    assert not read_file(out).structure().l3.is_zero()
 
 
 def test_construct_crossed_module_round_trip_byte_identical(fixture_dir, tmp_path):

@@ -1,9 +1,17 @@
 from fractions import Fraction
+from itertools import product
 
 from prelie2.fixtures import fix_b
 from prelie2.graded_spaces import ChainMap, TwoTermComplex, end_algebra, is_chain_map, zero_complex
 from prelie2.lie2_core import validate as validate_lie2
-from prelie2.scalar_tensor import MultiMap, Space, ml_compose_linear, ml_skew_in, solve_in_span
+from prelie2.scalar_tensor import (
+    MultiMap,
+    Space,
+    kernel_with_free_columns,
+    ml_compose_linear,
+    ml_skew_in,
+    solve_in_span,
+)
 
 
 def line_complex(dim0, dim1, dm_entries=None):
@@ -124,3 +132,32 @@ def test_end_coordinates_match_solve_on_dense_differentials(rng):
         outside = (MultiMap.identity(v.v0), MultiMap.zero((v.v1,), v.v1))
         assert solve_in_span(flat_pairs, _flat(*outside)) is None
         assert e.end0_coordinates(*outside) is None
+
+
+def chain_loop_end0(v):
+    """End0 pairs and free columns from the commuting system (A0∘dm)(f_p) =
+    (dm∘A1)(f_p), component e_q, assembled row by row over (A0, A1) flattened."""
+    n0, n1 = v.v0.dim, v.v1.dim
+    nvars = n0 * n0 + n1 * n1
+    rows = []
+    for p, q in product(range(n1), range(n0)):
+        row = [Fraction(0)] * nvars
+        for i in range(n0):
+            row[i * n0 + q] += v.dm.entry(p, i)
+        for r in range(n1):
+            row[n0 * n0 + p * n1 + r] -= v.dm.entry(r, q)
+        rows.append(row)
+    kernel, free = kernel_with_free_columns(rows, nvars)
+    pairs = tuple(
+        (MultiMap((v.v0,), v.v0, vec[: n0 * n0]), MultiMap((v.v1,), v.v1, vec[n0 * n0 :])) for vec in kernel
+    )
+    return pairs, tuple(free)
+
+
+def test_end0_matches_the_chain_loop_on_random_complexes(rng):
+    for n0, n1 in product(range(4), repeat=2):
+        for _ in range(4):
+            dm = [Fraction(rng.choice((0, 0, 1, -1, 2)), rng.choice((1, 1, 3))) for _ in range(n0 * n1)]
+            v = line_complex(n0, n1, dm)
+            e = end_algebra(v)
+            assert (e.end0_pairs, e.end0_free) == chain_loop_end0(v)

@@ -6,9 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prelie2.identities import Condition, check, parse_terms, skew, tensor
+from prelie2.identities import Condition, check, parse_terms, rows, skew, tensor
 from prelie2.lie2_core import Lie2Hom, validate_hom, zero_lie2
-from prelie2.scalar_tensor import DimensionMismatch, MultiMap, Space, basis_vector, ml_apply, vec_add, vec_neg
+from prelie2.scalar_tensor import (
+    DimensionMismatch,
+    MultiMap,
+    Space,
+    _fraction_free_rref,
+    basis_vector,
+    ml_apply,
+    vec_add,
+    vec_neg,
+    vec_sub,
+)
 
 
 def test_parse_terms():
@@ -174,3 +184,41 @@ def test_tensor_rejects_a_slot_mismatch():
         tensor({"mul": mul, "e": MultiMap.zero((b, a), a)}, "xy", "mul(x,y) - e(x,y)")
     with pytest.raises(DimensionMismatch):  # the terms have 2 and 3 entries
         tensor({"mul": mul, "f": MultiMap.zero((a, a), b)}, "xy", "mul(x,y) - f(x,y)")
+
+
+# X: a -> b is the unknown, X = sum_c x_c E(c, -) with E(c, -) the unit map of
+# flat coefficient c; the second table puts the unknown's variable last
+SYSTEM = (
+    Condition("f", "cuv", "E(c,mul(u,v)) - h(u,E(c,v))"),
+    Condition("g", "uc", "E(c,u) - r(E(c,u))"),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n0=st.integers(0, 3), n1=st.integers(0, 3))
+def test_rows_have_the_rref_of_the_system_evaluated_on_unit_unknowns(data, n0, n1):
+    a, b = Space(n0, "a"), Space(n1, "b")
+
+    def draw(inputs, output):
+        size = len(MultiMap.zero(inputs, output).coeffs)
+        return MultiMap(inputs, output, tuple(data.draw(st.lists(mixed, min_size=size, max_size=size))))
+
+    mul, h, r = draw((a, a), a), draw((a, b), b), draw((b,), b)
+    ncols = n0 * n1
+    units = [MultiMap((a,), b, basis_vector(ncols, c)) for c in range(ncols)]
+    embedding = MultiMap((Space(ncols, "c"), a), b, tuple(x for u in units for x in u.coeffs))
+    got = rows({"E": embedding, "mul": mul, "h": h, "r": r}, SYSTEM, "c")
+
+    ea, expected = [basis_vector(a, i) for i in range(n0)], []
+    for u, v in product(range(n0), repeat=2):
+        defects = [
+            vec_sub(ml_apply(x, [ml_apply(mul, [ea[u], ea[v]])]), ml_apply(h, [ea[u], ml_apply(x, [ea[v]])]))
+            for x in units
+        ]
+        expected += [[d[j] for d in defects] for j in range(n1)]
+    for u in range(n0):
+        defects = [vec_sub(ml_apply(x, [ea[u]]), ml_apply(r, [ml_apply(x, [ea[u]])])) for x in units]
+        expected += [[d[j] for d in defects] for j in range(n1)]
+
+    assert all(len(row) == ncols and any(row) for row in got)
+    assert _fraction_free_rref(got, ncols) == _fraction_free_rref(expected, ncols)

@@ -4,9 +4,10 @@ from itertools import product
 
 import pytest
 
-from conftest import random_fraction
-from prelie2.fixtures import fix_a, fix_b, fix_c, fix_omega, lift_prelie, prelie2_fixtures
+from conftest import block_sum, random_fraction
+from prelie2.fixtures import fix_a, fix_b, fix_c, fix_d, fix_omega, lift_prelie, prelie2_fixtures
 from prelie2.graded_spaces import TwoTermComplex, end_algebra
+from prelie2.identities import tensor
 from prelie2.lie2_core import (
     Lie2Algebra,
     Lie2Hom,
@@ -288,3 +289,41 @@ def test_validate_hom_conditions_label_scaling_failure():
     report = validate_hom(f, g, g)
     assert not report.ok
     assert "ii" in report.conditions()
+
+
+# The Chevalley-Eilenberg coboundary of a 2-cochain psi: g0 x g0 -> g1 for the
+# action rho of g0 on g1, written out here rather than taken from a table
+CE_COBOUNDARY = (
+    "rho(x,psi(y,z)) - rho(y,psi(x,z)) + rho(z,psi(x,y))"
+    " - psi(br(x,y),z) + psi(br(x,z),y) - psi(br(y,z),x)"
+)
+
+
+def _strict_c_plus_d() -> Lie2Algebra:
+    g, _ = from_prelie2(block_sum(fix_c(), fix_d()))
+    assert g.dk.is_zero() and is_strict_lie2(g) and not g.l2_01.is_zero()
+    return g
+
+
+def _ce_coboundary_of_random_skew(g: Lie2Algebra, rng) -> tuple[MultiMap, MultiMap]:
+    raw = MultiMap((g.g0, g.g0), g.g1, tuple(random_fraction(rng) for _ in range(g.g0.dim**2 * g.g1.dim)))
+    psi = tensor({"p": raw}, "xy", "p(x,y) - p(y,x)")
+    return psi, tensor({"rho": g.l2_01, "br": g.l2_00, "psi": psi}, "xyz", CE_COBOUNDARY)
+
+
+def test_iv_accepts_every_ce_coboundary_as_l3(rng):
+    # with dk = 0 the conditions ask of l3 only that it be a skew CE 3-cocycle
+    g = _strict_c_plus_d()
+    for _ in range(5):
+        _, d_psi = _ce_coboundary_of_random_skew(g, rng)
+        assert not d_psi.is_zero()
+        assert validate(replace(g, l3=d_psi)).ok
+
+
+def test_hom_iv_accepts_the_twist_by_a_ce_coboundary(rng):
+    # (id, id, psi) is a homomorphism from g to g with l3 = -d_CE psi
+    g = _strict_c_plus_d()
+    for _ in range(3):
+        psi, d_psi = _ce_coboundary_of_random_skew(g, rng)
+        f = Lie2Hom(MultiMap.identity(g.g0), MultiMap.identity(g.g1), psi)
+        assert validate_hom(f, g, replace(g, l3=-d_psi)).ok

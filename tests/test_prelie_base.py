@@ -11,7 +11,6 @@ from prelie2.prelie_base import (
     PreLieAlgebra,
     SCALAR_LINE,
     PreLieRep,
-    _invariance_rows,
     coboundary,
     cocycle_from_form,
     invariant_forms,
@@ -26,7 +25,7 @@ from prelie2.prelie_base import (
     zero_rep,
 )
 from prelie2.report import InvalidStructureError
-from prelie2.scalar_tensor import MultiMap, Space, basis_vector, ml_apply, vec_sub
+from prelie2.scalar_tensor import MultiMap, Space, basis_vector, kernel_of_rows, ml_apply, vec_sub
 
 
 def associator_oracle(a: PreLieAlgebra):
@@ -238,12 +237,23 @@ def test_fix_a_admits_no_nonzero_invariant_form():
     assert forms == []
 
 
+def combination(units, coords):
+    """sum_c coords[c] units[c], built with MultiMap arithmetic."""
+    out = MultiMap.zero(units[0].inputs, units[0].output)
+    for c, u in zip(coords, units, strict=True):
+        out = out + u.scaled(c)
+    return out
+
+
 def test_invariance_rows_match_evaluation_on_unit_forms(rng):
     # each column is the skew form with omega(e_p, e_q) = 1, p < q; each row
-    # evaluates omega([e_i, e_j], e_k) + omega(e_j, e_i.e_k) through ml_apply
-    for n in (2, 3, 4):
+    # evaluates omega([e_i, e_j], e_k) + omega(e_j, e_i.e_k) through ml_apply;
+    # the solver's forms are the kernel of that system, built into maps
+    solved = 0
+    for n, sparse in product((2, 3, 4), (False, True)):  # sparse products have nonzero solutions
         s = Space(n, "a")
-        a = PreLieAlgebra(s, MultiMap((s, s), s, tuple(random_fraction(rng, 3) for _ in range(n**3))))
+        draws = (random_fraction(rng, 3) if not sparse or rng.random() < 0.05 else Fraction(0) for _ in range(n**3))
+        a = PreLieAlgebra(s, MultiMap((s, s), s, tuple(draws)))
         bas = [basis_vector(s, i) for i in range(n)]
         units = []
         for p, q in combinations(range(n), 2):
@@ -258,7 +268,10 @@ def test_invariance_rows_match_evaluation_on_unit_forms(rng):
             ]
             for i, j, k in product(range(n), repeat=3)
         ]
-        assert _invariance_rows(a) == expected
+        kernel = kernel_of_rows(expected, len(units))
+        assert [f.omega for f in invariant_forms(a)] == [combination(units, v) for v in kernel]
+        solved += len(kernel)
+    assert solved
 
 
 def test_invariantnew_consequence():

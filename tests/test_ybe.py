@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from conftest import random_fraction
+from test_prelie_base import combination
 from prelie2.fixtures import (
     fix_a,
     fix_b,
@@ -23,7 +24,7 @@ from prelie2.lie2_core import from_prelie2, validate_rep, zero_lie2
 from prelie2.o_operators import OOperatorContext, validate_o
 from prelie2.prelie_base import LieAlgebra, LieRep, standard_reps, sub_adjacent, validate_lie
 from prelie2.report import InvalidStructureError
-from prelie2.scalar_tensor import MultiMap, Space, basis_vector, ml_apply, vec_sub
+from prelie2.scalar_tensor import MultiMap, Space, basis_vector, kernel_of_rows, ml_apply, vec_sub
 from prelie2.ybe import (
     Tensor2Element,
     a_astar_bridge,
@@ -290,13 +291,16 @@ def test_bridge_solver_fix_a_only_zero():
 
 def test_bridge_rows_match_evaluation_on_unit_maps(rng):
     # each column is the skew map dm(xi_p) = e_q, dm(xi_q) = -e_p, p < q; each
-    # equation is evaluated on it through ml_apply, one row per component
+    # equation is evaluated on it through ml_apply, one row per component; the
+    # solver's maps are the kernel of that system, built into maps
     from prelie2.prelie_base import PreLieAlgebra
-    from prelie2.ybe import _bridge_rows, _dual_products
+    from prelie2.ybe import _dual_products
 
-    for n in (2, 3, 4):
+    solved = 0
+    for n, sparse in product((2, 3, 4), (False, True)):  # sparse products have nonzero solutions
         s = Space(n, "a")
-        a = PreLieAlgebra(s, MultiMap((s, s), s, tuple(random_fraction(rng, 3) for _ in range(n**3))))
+        draws = (random_fraction(rng, 3) if not sparse or rng.random() < 0.05 else Fraction(0) for _ in range(n**3))
+        a = PreLieAlgebra(s, MultiMap((s, s), s, tuple(draws)))
         dual, mul01, mul10, _ = _dual_products(a)
         ba = [basis_vector(s, i) for i in range(n)]
         bd = [basis_vector(dual, p) for p in range(n)]
@@ -322,7 +326,10 @@ def test_bridge_rows_match_evaluation_on_unit_maps(rng):
         for eq in equations:
             defects = [eq(u) for u in units]
             expected += [[d[c] for d in defects] for c in range(n)]
-        assert _bridge_rows(a, mul01, mul10) == expected
+        kernel = kernel_of_rows(expected, len(units))
+        assert bridge_dm_solutions(a) == [combination(units, v) for v in kernel]
+        solved += len(kernel)
+    assert solved
 
 
 def test_bridge_solver_mirror_algebra_nonzero():
