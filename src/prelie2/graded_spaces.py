@@ -60,16 +60,6 @@ class EndAlgebra:
     end0_pairs: tuple[tuple[MultiMap, MultiMap], ...]
     end0_free: tuple[int, ...]
 
-    def end0_coordinates(self, a0: MultiMap, a1: MultiMap) -> Vector | None:
-        """Express a chain-commuting pair in the End0 basis, or None."""
-        vectors = [_flatten_pair(p0, p1) for p0, p1 in self.end0_pairs]
-        return kernel_coordinates(vectors, self.end0_free, _flatten_pair(a0, a1))
-
-    def end1_coordinates(self, phi: MultiMap) -> Vector:
-        """Hom(V0, V1) in the standard basis, row-major over (V0, V1)."""
-        n0, n1 = self.complex.v0.dim, self.complex.v1.dim
-        return tuple(phi.entry(i, j) for i in range(n0) for j in range(n1))
-
 
 def _flatten_pair(a0: MultiMap, a1: MultiMap) -> Vector:
     return tuple(a0.coeffs) + tuple(a1.coeffs)
@@ -89,6 +79,18 @@ def _unit_entries(units: Space, sp: Space, offset: int) -> MultiMap:
 _CHAIN = (Condition("chain", "cy", "E0(c,dm(y)) - dm(E1(c,y))"),)
 
 
+def end0_kernel(v: TwoTermComplex) -> tuple[MultiMap, MultiMap, list[Vector], list[int]]:
+    """The unit entries E0, E1 of End(V0) ⊕ End(V1), and the kernel of the
+    chain-commuting system over their flat coefficients (A0 then A1,
+    row-major) with the free column of each kernel vector.  A pair in End0
+    has its End0 coordinates at those free columns."""
+    n0, n1 = v.v0.dim, v.v1.dim
+    units = Space(n0 * n0 + n1 * n1, f"End({v.v0.label})+End({v.v1.label})")
+    e0, e1 = _unit_entries(units, v.v0, 0), _unit_entries(units, v.v1, n0 * n0)
+    kernel, free = kernel_with_free_columns(rows({"E0": e0, "E1": e1, "dm": v.dm}, _CHAIN, "c"), units.dim)
+    return e0, e1, kernel, free
+
+
 def end_algebra(v: TwoTermComplex) -> EndAlgebra:
     """The strict 2-algebra of endomorphisms of a 2-term complex.
 
@@ -101,10 +103,7 @@ def end_algebra(v: TwoTermComplex) -> EndAlgebra:
     from .lie2_core import Lie2Algebra
 
     n0, n1 = v.v0.dim, v.v1.dim
-    units = Space(n0 * n0 + n1 * n1, f"End({v.v0.label})+End({v.v1.label})")
-    e0, e1 = _unit_entries(units, v.v0, 0), _unit_entries(units, v.v1, n0 * n0)
-    system = rows({"E0": e0, "E1": e1, "dm": v.dm}, _CHAIN, "c")
-    kernel, free = kernel_with_free_columns(system, units.dim)
+    e0, e1, kernel, free = end0_kernel(v)
     pairs = tuple((solution(e0, vec), solution(e1, vec)) for vec in kernel)
     g0 = Space(len(pairs), f"End0({v.v1.label}->{v.v0.label})")
     g1 = Space(n0 * n1, f"End1({v.v0.label}->{v.v1.label})")

@@ -3,27 +3,21 @@ products, and the functor from 2-term pre-Lie structures.
 
 The mixed bracket is stored once in (degree 0, degree 1) order; the opposite
 order is the negative.  Representations are stored as operators acting
-directly on V-coordinates and validated by expressing them as a homomorphism
-into the computed End(V).
+directly on V-coordinates and validated on V by the conditions of a
+homomorphism into End(V), with each defect reported in End(V) coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .graded_spaces import EndAlgebra, TwoTermComplex, end_algebra
+from .graded_spaces import TwoTermComplex, end0_kernel
 from .identities import Condition, check, skew, tensor
 from .prelie_base import LieAlgebra
 from .prelie2_core import PreLie2Algebra, PreLie2Hom, validate as validate_prelie2
 from .report import InvalidStructureError, ValidationReport, Violation, make_report, nonzero_entries
-from .scalar_tensor import (
-    MultiMap,
-    Space,
-    block_multimap,
-    direct_sum,
-    ml_compose_linear,
-    vec_neg,
-)
+from .scalar_tensor import ZERO, MultiMap, Space, block_multimap, direct_sum, vec_neg
 
 
 @dataclass(frozen=True)
@@ -127,59 +121,77 @@ def validate_hom(f: Lie2Hom, g: Lie2Algebra, h: Lie2Algebra) -> ValidationReport
     return check({**_named(g), **_named(h, "'"), "f0": f.f0, "f1": f.f1, "f2": f.f2}, _HOM_CONDITIONS)
 
 
-def rep_as_end_hom(g: Lie2Algebra, rep: Lie2Rep) -> tuple[Lie2Hom, EndAlgebra, ValidationReport]:
-    """Express (rho0, rho1, rho2) in End(V) coordinates.
+# A representation is a homomorphism from g into End(V) (Baez and Crans 2004),
+# checked here on V itself: x acts by the pair (r00(x,-), r01(x,-)) in End0,
+# m and (x, y) by r1(m,-) and r2(x,y,-) in End1 = Hom(V0, V1); End(V) has the
+# differential phi -> (dm∘phi, phi∘dm), the graded commutator as bracket and
+# l3 = 0.  The last variable of each family is the argument in V, u in V0 or
+# n in V1; it is folded into the defect (``_folded``), which makes each defect
+# a vector of End(V) coordinates.
+_REP = (
+    Condition("rep-chain", "xn", "r00(x,dm(n)) - dm(r01(x,n))"),
+    skew("rep-skew-f2", "r2", "xyu", 0, 1),
+    # (i) and (ii) are equations in End0, one family on V0 and one on V1
+    Condition("rep-i", "mu", "r00(d(m),u) - dm(r1(m,u))"),
+    Condition("rep-i", "mn", "r01(d(m),n) - r1(m,dm(n))"),
+    Condition("rep-ii", "xyu", "r00(l2(x,y),u) - r00(x,r00(y,u)) + r00(y,r00(x,u)) - dm(r2(x,y,u))"),
+    Condition("rep-ii", "xyn", "r01(l2(x,y),n) - r01(x,r01(y,n)) + r01(y,r01(x,n)) - r2(x,y,dm(n))"),
+    Condition("rep-iii", "xmu", "r1(l2m(x,m),u) - r01(x,r1(m,u)) + r1(m,r00(x,u)) - r2(x,d(m),u)"),
+    Condition(
+        "rep-iv",
+        "xyzu",
+        "r2(l2(x,y),z,u) + r2(l2(y,z),x,u) + r2(l2(z,x),y,u) + r1(l3(x,y,z),u)"
+        " - r01(x,r2(y,z,u)) + r2(y,z,r00(x,u)) - r01(y,r2(z,x,u)) + r2(z,x,r00(y,u))"
+        " - r01(z,r2(x,y,u)) + r2(x,y,r00(z,u))",
+    ),
+)
 
-    Operators that fail the chain-commuting condition are reported; the
-    returned hom uses zero coordinates for those so validation can proceed.
-    """
-    end = end_algebra(rep.complex)
-    v = rep.complex
-    bad: list[Violation] = []
-    coords0 = []
-    for i in range(g.g0.dim):
-        a0 = MultiMap.build(
-            (v.v0,), v.v0, lambda u, i=i: rep.rho0_0.image_of_basis(i, u)
-        )
-        a1 = MultiMap.build(
-            (v.v1,), v.v1, lambda m, i=i: rep.rho0_1.image_of_basis(i, m)
-        )
-        coords = end.end0_coordinates(a0, a1)
-        if coords is None:
-            defect = ml_compose_linear(a0, v.dm) - ml_compose_linear(v.dm, a1)
-            bad.append(Violation("rep-chain", (i,), defect.coeffs))
-            coords = tuple([0] * len(end.end0_pairs))
-        coords0.append(coords)
-    g0e = end.lie2.g0
-    f0 = MultiMap.build((g.g0,), g0e, lambda i: coords0[i])
-    f1 = MultiMap.build(
-        (g.g1,),
-        end.lie2.g1,
-        lambda p: end.end1_coordinates(
-            MultiMap.build((v.v0,), v.v1, lambda u, p=p: rep.rho1.image_of_basis(p, u))
-        ),
-    )
-    f2 = MultiMap.build(
-        (g.g0, g.g0),
-        end.lie2.g1,
-        lambda i, j: end.end1_coordinates(
-            MultiMap.build(
-                (v.v0,), v.v1, lambda u, i=i, j=j: rep.rho2.image_of_basis(i, j, u)
-            )
-        ),
-    )
-    return Lie2Hom(f0, f1, f2), end, make_report(bad)
+
+def _folded(report: ValidationReport, inner: int) -> dict[tuple[int, ...], list[Fraction]]:
+    """{leading indices: defect} with each violation's last index, which runs
+    over ``inner`` values, folded into its defect row-major; entries where no
+    violation was reported are zero."""
+    out: dict[tuple[int, ...], list[Fraction]] = {}
+    for v in report.violations:
+        *lead, k = v.where
+        n = len(v.defect)
+        out.setdefault(tuple(lead), [ZERO] * (inner * n))[k * n : (k + 1) * n] = v.defect
+    return out
+
+
+def _without_slices(m: MultiMap, bad: set[int]) -> MultiMap:
+    """``m`` with its entries at the first-slot indices ``bad`` set to zero."""
+    block = len(m.coeffs) // m.inputs[0].dim
+    return MultiMap(m.inputs, m.output, tuple(ZERO if k // block in bad else c for k, c in enumerate(m.coeffs)))
 
 
 def validate_rep(g: Lie2Algebra, rep: Lie2Rep) -> ValidationReport:
-    """A representation is a homomorphism into End(V); check it as one."""
-    hom, end, chain_report = rep_as_end_hom(g, rep)
-    hom_report = validate_hom(hom, g, end.lie2)
-    relabeled = [
-        Violation("rep-" + v.condition, v.where, v.defect, v.derived)
-        for v in hom_report.violations
-    ]
-    return chain_report.merged(make_report(relabeled))
+    """The conditions for ``rep`` to be a homomorphism into End(V), checked
+    on V.  Each defect is in End(V) coordinates: Hom(V1, V0) for the chain
+    condition, End1 row-major over (V0, V1), and End0 coordinates for (i)
+    and (ii).  Operators that fail the chain condition have no End0
+    coordinates and enter the other conditions as zero."""
+    v = rep.complex
+    n0, n1 = v.v0.dim, v.v1.dim
+    tensors = {**_named(g), "dm": v.dm, "r00": rep.rho0_0, "r01": rep.rho0_1, "r1": rep.rho1, "r2": rep.rho2}
+    chain = _folded(check(tensors, _REP[:1]), n1)
+    if chain:
+        bad = {where[0] for where in chain}
+        tensors.update(r00=_without_slices(rep.rho0_0, bad), r01=_without_slices(rep.rho0_1, bad))
+    out = [Violation("rep-chain", where, tuple(d)) for where, d in chain.items()]
+    end0: dict[tuple, list[Fraction]] = {}  # (label, where) -> the pair (A0, A1) flattened
+    for cond in _REP[1:]:
+        on_v0 = cond.variables[-1] == "u"
+        for where, d in _folded(check(tensors, (cond,)), n0 if on_v0 else n1).items():
+            if cond.label in ("rep-i", "rep-ii"):
+                start = 0 if on_v0 else n0 * n0
+                end0.setdefault((cond.label, where), [ZERO] * (n0 * n0 + n1 * n1))[start : start + len(d)] = d
+            else:
+                out.append(Violation(cond.label, where, tuple(d)))
+    if end0:
+        free = end0_kernel(v)[3]
+        out += (Violation(label, where, tuple(pair[c] for c in free)) for (label, where), pair in end0.items())
+    return make_report(out)
 
 
 # -- the functor from 2-term pre-Lie structures ------------------------------

@@ -7,6 +7,7 @@ from prelie2.lie2_core import validate as validate_lie2
 from prelie2.scalar_tensor import (
     MultiMap,
     Space,
+    kernel_coordinates,
     kernel_with_free_columns,
     ml_compose_linear,
     ml_skew_in,
@@ -127,11 +128,11 @@ def test_end_coordinates_match_solve_on_dense_differentials(rng):
                 expected = solve_in_span(flat_pairs, _flat(comm0, comm1))
                 assert expected is not None
                 assert e.lie2.l2_00.image_of_basis(s, t) == expected
-                assert e.end0_coordinates(comm0, comm1) == expected
+                assert kernel_coordinates(flat_pairs, e.end0_free, _flat(comm0, comm1)) == expected
         # identity on V0 and zero on V1 does not commute with a nonzero dm
         outside = (MultiMap.identity(v.v0), MultiMap.zero((v.v1,), v.v1))
         assert solve_in_span(flat_pairs, _flat(*outside)) is None
-        assert e.end0_coordinates(*outside) is None
+        assert kernel_coordinates(flat_pairs, e.end0_free, _flat(*outside)) is None
 
 
 def chain_loop_end0(v):
