@@ -17,6 +17,13 @@ numerators over the lcm of their denominators, a value carries the product
 of the lcms of the tensors it applies as its scale, and a condition's terms
 are brought to one common scale before they are summed.  Only a nonzero
 defect is turned back into ``Fraction``s.
+
+Only the work that depends on the tensors is done per call.  A
+``Condition`` is compiled once, when it is made: each term's sign, its
+shape, its variables and their permutation to ``variables`` are kept.  A
+tensor is scaled to integers once per ``MultiMap`` object
+(``MultiMap.scaled_support``), so repeated checks of the same maps, as in
+an operator search, reuse it.
 """
 
 from __future__ import annotations
@@ -87,15 +94,21 @@ class Condition:
     shift: tuple[int, ...] = ()  # added to ``where`` entry by entry
     derived: bool = False
     terms: tuple[Term, ...] = field(init=False, repr=False, compare=False)
+    # per term: (sign, shape, its variables in order of appearance, the
+    # position in that order of each of ``variables``)
+    plan: tuple[tuple[int, tuple, tuple[str, ...], tuple[int, ...]], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         terms = parse_terms(self.identity)
-        for _, expr in terms:
+        plan = []
+        for sign, expr in terms:
             names: list[str] = []
-            _shape(expr, names)
+            shape = _shape(expr, names)
             if sorted(names) != sorted(self.variables):
                 raise ValueError(f"{self.label}: every term must use each of {tuple(self.variables)} once")
+            plan.append((sign, shape, tuple(names), tuple(names.index(v) for v in self.variables)))
         object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "plan", tuple(plan))
 
 
 def skew(label: str, tensor: str, variables: Sequence[str], a: int, b: int) -> Condition:
@@ -105,20 +118,7 @@ def skew(label: str, tensor: str, variables: Sequence[str], a: int, b: int) -> C
     return Condition(label, variables, f"{tensor}({','.join(variables)}) + {tensor}({','.join(swapped)})")
 
 
-def _scaled_support(m: MultiMap) -> tuple[dict[tuple[int, ...], list[tuple[int, int]]], int]:
-    """The nonzero entries of ``m``, grouped by input basis tuple, as integer
-    numerators over the lcm of their denominators, and that lcm."""
-    rows = {}
-    n = m.output.dim
-    for k, idx in enumerate(iter_product(*(range(sp.dim) for sp in m.inputs))):
-        row = [(j, c) for j, c in enumerate(m.coeffs[k * n : (k + 1) * n]) if c]
-        if row:
-            rows[idx] = row
-    d = lcm(*(c.denominator for row in rows.values() for _, c in row))
-    return {idx: [(j, c.numerator * (d // c.denominator)) for j, c in row] for idx, row in rows.items()}, d
-
-
-def _evaluate(expr: tuple, tensors: Mapping[str, MultiMap], supports: dict, memo: dict):
+def _evaluate(expr: tuple, tensors: Mapping[str, MultiMap], memo: dict):
     """(slot space of each variable, {assignment: {j: numerator}}, output
     space, scale) of an expression shape; an assignment lists the basis
     indices of the variables in order of appearance, and each value is its
@@ -129,9 +129,7 @@ def _evaluate(expr: tuple, tensors: Mapping[str, MultiMap], supports: dict, memo
     m = tensors[name]
     if len(args) != m.arity:
         raise DimensionMismatch(f"{name} takes {m.arity} arguments, got {len(args)}")
-    if name not in supports:
-        supports[name] = _scaled_support(m)
-    rows, scale = supports[name]
+    rows, scale = m.scaled_support
     spaces: list[Space] = []
     by_out = []  # per slot: basis index -> [(assignment, value)]
     for slot, (arg, sp) in enumerate(zip(args, m.inputs)):
@@ -139,7 +137,7 @@ def _evaluate(expr: tuple, tensors: Mapping[str, MultiMap], supports: dict, memo
             spaces.append(sp)
             by_out.append([[((i,), 1)] for i in range(sp.dim)])
             continue
-        sub_spaces, values, out, sub_scale = _evaluate(arg, tensors, supports, memo)
+        sub_spaces, values, out, sub_scale = _evaluate(arg, tensors, memo)
         n = out.dim
         if n != sp.dim:
             raise DimensionMismatch(f"argument {slot} of {name} has {n} entries, expected {sp.dim}", slot=slot)
@@ -152,7 +150,7 @@ def _evaluate(expr: tuple, tensors: Mapping[str, MultiMap], supports: dict, memo
                     lists[j].append((assign, x))
         by_out.append(lists)
     values: dict[tuple[int, ...], dict[int, int]] = {}
-    for idx, row in rows.items():
+    for idx, row in rows:
         for combo in iter_product(*(by_out[s][i] for s, i in enumerate(idx))):
             assign, w = (), 1
             for a, x in combo:
@@ -165,7 +163,7 @@ def _evaluate(expr: tuple, tensors: Mapping[str, MultiMap], supports: dict, memo
     return memo[expr]
 
 
-def _summed(cond: Condition, tensors: Mapping[str, MultiMap], supports: dict, memo: dict):
+def _summed(cond: Condition, tensors: Mapping[str, MultiMap], memo: dict):
     """(the space of each of ``cond.variables``, the output space,
     {basis tuple of the variables: {j: numerator}}, common scale) of the
     signed sum ``cond.identity``.  A variable takes the space of the first
@@ -174,9 +172,8 @@ def _summed(cond: Condition, tensors: Mapping[str, MultiMap], supports: dict, me
     spaces: dict[str, Space] = {}
     terms = []
     output = None
-    for sign, expr in cond.terms:
-        names: list[str] = []
-        arg_spaces, values, out, scale = _evaluate(_shape(expr, names), tensors, supports, memo)
+    for sign, shape, names, perm in cond.plan:
+        arg_spaces, values, out, scale = _evaluate(shape, tensors, memo)
         for v, sp in zip(names, arg_spaces):
             if spaces.setdefault(v, sp).dim != sp.dim:
                 raise DimensionMismatch(f"{cond.label}: {v} fills slots of dimension {spaces[v].dim} and {sp.dim}")
@@ -184,12 +181,11 @@ def _summed(cond: Condition, tensors: Mapping[str, MultiMap], supports: dict, me
             output = out
         elif out.dim != output.dim:
             raise DimensionMismatch(f"{cond.label}: terms have {output.dim} and {out.dim} entries")
-        terms.append((sign, names, values, scale))
+        terms.append((sign, perm, values, scale))
     common = lcm(*(scale for *_, scale in terms))
     total: dict[tuple[int, ...], dict[int, int]] = {}
-    for sign, names, values, scale in terms:
+    for sign, perm, values, scale in terms:
         factor = sign * (common // scale)
-        perm = [names.index(v) for v in cond.variables]
         for assign, vec in values.items():
             acc = total.setdefault(tuple(assign[k] for k in perm), {})
             for j, x in vec.items():
@@ -199,11 +195,10 @@ def _summed(cond: Condition, tensors: Mapping[str, MultiMap], supports: dict, me
 
 def check(tensors: Mapping[str, MultiMap], conditions: Sequence[Condition]) -> ValidationReport:
     """Evaluate every condition on every basis tuple of its variables."""
-    supports: dict[str, tuple] = {}  # tensor name -> its scaled nonzero entries
     memo: dict[tuple, tuple] = {}  # expression shape -> its value
     out: list[Violation] = []
     for cond in conditions:
-        _, output, total, common = _summed(cond, tensors, supports, memo)
+        _, output, total, common = _summed(cond, tensors, memo)
         shift = cond.shift or (0,) * len(cond.variables)
         for where in sorted(total):
             vec = total[where]
@@ -219,7 +214,7 @@ def tensor(tensors: Mapping[str, MultiMap], variables: Sequence[str], expression
     in that slot order, is the signed sum ``expression``.  Each input space
     is that of the first slot its variable fills, and the output space that
     of the first term."""
-    inputs, output, total, common = _summed(Condition(expression, variables, expression), tensors, {}, {})
+    inputs, output, total, common = _summed(Condition(expression, variables, expression), tensors, {})
     zero = (Fraction(0),) * output.dim
     coeffs: list[Fraction] = []
     for where in iter_product(*(range(sp.dim) for sp in inputs)):
@@ -235,11 +230,10 @@ def rows(tensors: Mapping[str, MultiMap], conditions: Sequence[Condition], unkno
     coordinates x_c.  There is one row per basis tuple of the other variables
     and output component, in sorted order, and one column per basis index of
     ``unknown``; rows that would be zero are left out."""
-    supports: dict[str, tuple] = {}
     memo: dict[tuple, tuple] = {}
     out: list[list[Fraction]] = []
     for cond in conditions:
-        spaces, _, total, common = _summed(cond, tensors, supports, memo)
+        spaces, _, total, common = _summed(cond, tensors, memo)
         k = list(cond.variables).index(unknown)
         by_row: dict[tuple, list[Fraction]] = {}
         for where, vec in total.items():

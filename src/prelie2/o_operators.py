@@ -173,10 +173,11 @@ def search_o_operators(ctx: OOperatorContext, bound: int = 1):
             grid[(i, j)] = tuple(col)
             grid[(j, i)] = tuple(-c for c in col)
         t2_grid.append(MultiMap.build((v.v0, v.v0), g.g1, lambda i, j, grid=grid: grid.get((i, j), zero)))
+    # one object per grid point, so validate_o scales each to integers once
+    t1_grid = [MultiMap((v.v1,), g.g1, entries) for entries in iter_product(values, repeat=n_t1)]
     for t0_entries in iter_product(values, repeat=n_t0):
         t0 = MultiMap((v.v0,), g.g0, tuple(t0_entries))
-        for t1_entries in iter_product(values, repeat=n_t1):
-            t1 = MultiMap((v.v1,), g.g1, tuple(t1_entries))
+        for t1 in t1_grid:
             if not _chain_defect(t0, t1, ctx).is_zero():
                 continue  # the chain condition does not involve T2
             for t2 in t2_grid:

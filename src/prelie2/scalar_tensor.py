@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iter_product
 from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
@@ -130,6 +131,22 @@ class MultiMap:
     @property
     def arity(self) -> int:
         return len(self.inputs)
+
+    @cached_property
+    def scaled_support(self) -> tuple[tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...], int]:
+        """The nonzero entries grouped by input basis tuple, as pairs
+        (basis tuple, ((j, numerator), ...)) over the lcm of the entries'
+        denominators, and that lcm.  Computed once per object: the value is
+        kept in the instance dict, outside the fields that equality, hash and
+        repr read."""
+        n = self.output.dim
+        nonzero = [(p, c) for p, c in enumerate(self.coeffs) if c]
+        d = lcm(*(c.denominator for _, c in nonzero))
+        rows: dict[int, list[tuple[int, int]]] = {}
+        for p, c in nonzero:
+            rows.setdefault(p // n, []).append((p % n, c.numerator * (d // c.denominator)))
+        keys = list(iter_product(*(range(sp.dim) for sp in self.inputs)))
+        return tuple((keys[k], tuple(row)) for k, row in rows.items()), d
 
     # -- constructors ------------------------------------------------------
 

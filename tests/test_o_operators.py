@@ -1,9 +1,11 @@
 import random
+from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from prelie2 import o_operators
 from prelie2.fixtures import (
     fix_b,
     fix_b_context,
@@ -298,6 +300,49 @@ def full_grid(ctx: OOperatorContext, bound: int = 1):
 def test_search_counts(searched):
     counts = {name: len(found) for name, (_, found) in searched.items()}
     assert counts == {"FIX-B": 27, "FIX-E": 21, "FIX-OMEGA": 189}
+
+
+def renewed(obj):
+    """``obj`` with every map in it, however deep, a new object equal to the old."""
+    if isinstance(obj, MultiMap):
+        return replace(obj)
+    parts = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return replace(obj, **{name: renewed(part) for name, part in parts.items() if is_dataclass(part)})
+
+
+def test_search_scales_each_checked_tensor_once(monkeypatch):
+    """A tensor keeps its integer support, so a search scales each tensor
+    object it checks once: the context's nine maps, and each T0, T1 and T2
+    of the grid that reaches validate_o, not twelve maps per candidate."""
+    support = vars(MultiMap)["scaled_support"]
+    scale, computed = support.func, []
+    monkeypatch.setattr(support, "func", lambda m: computed.append(m) or scale(m))
+    real_check, checked = o_operators.check, {}
+
+    def recording_check(tensors, conditions):
+        checked.update((id(m), m) for m in tensors.values())
+        return real_check(tensors, conditions)
+
+    monkeypatch.setattr(o_operators, "check", recording_check)
+    counts = {}
+    for name, make in SEARCH_CONTEXTS.items():
+        ctx = renewed(context_of(make))  # dk and dm become two objects, neither scaled yet
+        computed.clear()
+        checked.clear()
+        assert len(list(search_o_operators(ctx, 1))) == {"FIX-B": 27, "FIX-E": 21, "FIX-OMEGA": 189}[name]
+        assert len({id(m) for m in computed}) == len(computed) == len(checked), name
+        counts[name] = len(computed)
+    assert counts == {"FIX-B": 42, "FIX-E": 42, "FIX-OMEGA": 96}
+
+    # the kept support is not a field: equality, hash and repr ignore it
+    t = o_identity(ctx)
+    assert "scaled_support" not in vars(t.t0)
+    copy = replace(t.t0)
+    assert (t.t0, hash(t.t0), repr(t.t0)) == (copy, hash(copy), repr(copy))
+    assert validate_o(t).ok and "scaled_support" in vars(t.t0)
+    for other in (copy, replace(t.t0)):
+        assert "scaled_support" not in vars(other)
+        assert (t.t0, hash(t.t0), repr(t.t0)) == (other, hash(other), repr(other))
 
 
 @pytest.mark.parametrize("name", ["FIX-B", "FIX-OMEGA"])
